@@ -36,7 +36,7 @@ from .kisin import (
     verify_height,
     xi_iterate,
 )
-from .scalars import DEFAULT_PREC, FieldSpec, OFExact, qp_spec
+from .scalars import DEFAULT_PREC, FieldSpec, OFExact, _fraction_in, qp_spec
 from .series import (
     PRESET_NAMES,
     EisensteinE,
@@ -70,30 +70,11 @@ class _Parser(argparse.ArgumentParser):
 # --- config plumbing ---------------------------------------------------------
 
 
-def _rat_out(x: Fraction) -> str:
-    return str(x)
-
-
-def _rat_in(v, path: str) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ConfigError(f"{path}: expected an integer or 'a/b' string")
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _exact_out(x: OFExact):
-    if len(x.vec) == 1:
-        return _rat_out(x.vec[0])
-    return [_rat_out(c) for c in x.vec]
-
-
 def _exact_in(spec: FieldSpec, v, path: str) -> OFExact:
-    if isinstance(v, list):
-        return OFExact.make(spec, [_rat_in(c, f"{path}[{i}]")
-                                   for i, c in enumerate(v)])
-    return OFExact.make(spec, [_rat_in(v, path)])
+    try:
+        return OFExact.from_json(spec, v, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _coeffs_in(spec: FieldSpec, v, path: str) -> list:
@@ -153,7 +134,7 @@ def _field(args, cfg: dict) -> FieldSpec:
     if not isinstance(g, list):
         raise ConfigError("config.field.g: expected a coefficient list")
     try:
-        return FieldSpec(p, tuple(int(_rat_in(c, f"config.field.g[{i}]"))
+        return FieldSpec(p, tuple(int(_fraction_in(c, f"config.field.g[{i}]"))
                                   for i, c in enumerate(g)))
     except ValueError as exc:
         raise ConfigError(f"config.field.g: {exc}") from None
@@ -194,35 +175,25 @@ def _precision(args, cfg: dict) -> dict:
     return out
 
 
-def _resolve_lift(spec: FieldSpec, args, cfg: dict, key: str = "f",
-                  preset_key: str = "preset") -> tuple[FrobLift, str | None]:
+_PRESETS = {FrobLift: frob_preset, EisensteinE: eisenstein_preset}
+
+
+def _resolve(cls, spec: FieldSpec, args, cfg: dict, key: str,
+             preset_key: str = "preset"):
+    """A FrobLift or EisensteinE from its coefficients or a preset name,
+    together with that name."""
     raw = _get(args, cfg, key)
     name = _get(args, cfg, preset_key)
     if raw is not None:
         if isinstance(raw, str):
             raw = _parse_json_flag(raw, f"config.{key}")
-        return FrobLift.make(spec, _coeffs_in(spec, raw, f"config.{key}")), name
+        return cls.make(spec, _coeffs_in(spec, raw, f"config.{key}")), name
     if name is None:
         raise ConfigError(f"config.{key}: give --{key.replace('_', '-')} "
                           f"coefficients or a preset name")
     if name not in PRESET_NAMES:
         raise ConfigError(f"config.{preset_key}: unknown preset {name!r}")
-    return frob_preset(spec, name), name
-
-
-def _resolve_eis(spec: FieldSpec, args, cfg: dict,
-                 e0_default: int = 1) -> tuple[EisensteinE, str | None]:
-    raw = _get(args, cfg, "E")
-    name = _get(args, cfg, "preset")
-    if raw is not None:
-        if isinstance(raw, str):
-            raw = _parse_json_flag(raw, "config.E")
-        return EisensteinE.make(spec, _coeffs_in(spec, raw, "config.E")), name
-    if name is None:
-        raise ConfigError("config.E: give --E coefficients or a preset name")
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"config.preset: unknown preset {name!r}")
-    return eisenstein_preset(spec, name, e0=e0_default), name
+    return _PRESETS[cls](spec, name), name
 
 
 def _parse_json_flag(text: str, path: str):
@@ -258,12 +229,8 @@ def _matrix_in(value, path: str) -> list:
     return rows
 
 
-def _lift_out(f: FrobLift) -> list:
-    return [_exact_out(c) for c in f.coeffs]
-
-
-def _eis_out(E: EisensteinE) -> list:
-    return [_exact_out(c) for c in E.coeffs]
+def _coeffs_out(x: FrobLift | EisensteinE) -> list:
+    return [c.to_json() for c in x.coeffs]
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -278,8 +245,8 @@ def _cmd_presets(args, filecfg: dict):
         entries.append({
             "name": name,
             "field": _field_out(spec),
-            "f": _lift_out(f),
-            "E": _eis_out(E),
+            "f": _coeffs_out(f),
+            "E": _coeffs_out(E),
             "e0": E.e0,
         })
     cfg = {"field": _field_out(spec)}
@@ -291,7 +258,7 @@ def _cmd_presets(args, filecfg: dict):
 def _cmd_tower(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    f, name = _resolve_lift(spec, args, filecfg)
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f")
     e0 = _get(args, filecfg, "e0")
     if e0 is None:
         if name is None:
@@ -303,7 +270,7 @@ def _cmd_tower(args, filecfg: dict):
                           "config.polygon_levels", low=1)
     report = tower_report(TowerSpec(f, e0), levels, poly_levels)
     cfg = {
-        "field": _field_out(spec), "preset": name, "f": _lift_out(f),
+        "field": _field_out(spec), "preset": name, "f": _coeffs_out(f),
         "e0": e0, "levels": levels, "polygon_levels": poly_levels,
         "precision": prec,
     }
@@ -315,8 +282,8 @@ def _cmd_tower(args, filecfg: dict):
 def _cmd_intertwine(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    f, name = _resolve_lift(spec, args, filecfg, "f", "preset_f")
-    f2, name2 = _resolve_lift(spec, args, filecfg, "f2", "preset_f2")
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f", "preset_f")
+    f2, name2 = _resolve(FrobLift, spec, args, filecfg, "f2", "preset_f2")
     M = prec["u_order"] if prec["u_order"] is not None else 25
     N = prec["piadic"]
     all_mu0 = bool(_get(args, filecfg, "all_mu0", False))
@@ -334,11 +301,11 @@ def _cmd_intertwine(args, filecfg: dict):
     report = {"solutions": out}
     cfg = {
         "field": _field_out(spec), "preset_f": name, "preset_f2": name2,
-        "f": _lift_out(f), "f2": _lift_out(f2), "all_mu0": all_mu0,
+        "f": _coeffs_out(f), "f2": _coeffs_out(f2), "all_mu0": all_mu0,
         "precision": dict(prec, u_order=M),
     }
     if not all_mu0:
-        cfg["mu0"] = _int_in(_get(args, filecfg, "mu0", 1), "config.mu0")
+        cfg["mu0"] = mu0
     first = out[0]
     human = (f"intertwine: {len(out)} solution(s), s = {first['s']}, "
              f"integral = {first['integral']}, verified = {first['verified']} "
@@ -397,8 +364,8 @@ def _cmd_witt_selftest(args, filecfg: dict):
 def _cmd_fixedpoint(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    f, name = _resolve_lift(spec, args, filecfg)
-    E, _ = _resolve_eis(spec, args, filecfg)
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f")
+    E, _ = _resolve(EisensteinE, spec, args, filecfg, "E")
     budget = (prec["root_budget"], prec["exp_bound"])
     fixed = f_fixed_point_report(f, prec["witt_len"], budget)
     u = fixed["u"]
@@ -412,7 +379,7 @@ def _cmd_fixedpoint(args, filecfg: dict):
     }
     cfg = {
         "field": _field_out(spec), "preset": name,
-        "f": _lift_out(f), "E": _eis_out(E), "precision": prec,
+        "f": _coeffs_out(f), "E": _coeffs_out(E), "precision": prec,
     }
     human = (f"fixedpoint: stabilized in {fixed['iterations']} iteration(s), "
              f"phi(u) = f(u): {fixed['frob_matches_f']}, "
@@ -421,16 +388,16 @@ def _cmd_fixedpoint(args, filecfg: dict):
 
 
 def _kisin_module(spec, args, filecfg, prec, r):
-    f, name = _resolve_lift(spec, args, filecfg)
-    E, _ = _resolve_eis(spec, args, filecfg)
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f")
+    E, _ = _resolve(EisensteinE, spec, args, filecfg, "E")
     raw = _get(args, filecfg, "matrix")
     if raw is None:
         raise ConfigError("config.matrix: required")
     rows = _matrix_in(raw, "config.matrix")
     m = KisinModule.make(f, E, r, rows, absprec=prec["piadic"])
     cfg = {
-        "field": _field_out(spec), "preset": name, "f": _lift_out(f),
-        "E": _eis_out(E), "matrix": rows, "r": r, "precision": prec,
+        "field": _field_out(spec), "preset": name, "f": _coeffs_out(f),
+        "E": _coeffs_out(E), "matrix": rows, "r": r, "precision": prec,
     }
     return m, cfg
 
@@ -449,7 +416,7 @@ def _cmd_kisin_height(args, filecfg: dict):
 def _cmd_kisin_minheight(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    E, name = _resolve_eis(spec, args, filecfg)
+    E, name = _resolve(EisensteinE, spec, args, filecfg, "E")
     raw = _get(args, filecfg, "series")
     if raw is None:
         raise ConfigError("config.series: required")
@@ -460,7 +427,7 @@ def _cmd_kisin_minheight(args, filecfg: dict):
     res = minimal_height_rank1(a, E)
     report = res.to_json()
     cfg = {
-        "field": _field_out(spec), "preset": name, "E": _eis_out(E),
+        "field": _field_out(spec), "preset": name, "E": _coeffs_out(E),
         "series": raw, "precision": prec,
     }
     human = f"kisin minheight: m = {res.m}"
@@ -470,15 +437,15 @@ def _cmd_kisin_minheight(args, filecfg: dict):
 def _cmd_kisin_hypothesis(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    f, name = _resolve_lift(spec, args, filecfg)
-    E, _ = _resolve_eis(spec, args, filecfg)
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f")
+    E, _ = _resolve(EisensteinE, spec, args, filecfg, "E")
     budget = _int_in(_get(args, filecfg, "N_budget", 6), "config.N_budget",
                      low=0)
     res = hypothesis_check(f, E, budget)
     report = res.to_json() if res is not None else {"found": False}
     cfg = {
-        "field": _field_out(spec), "preset": name, "f": _lift_out(f),
-        "E": _eis_out(E), "N_budget": budget, "precision": prec,
+        "field": _field_out(spec), "preset": name, "f": _coeffs_out(f),
+        "E": _coeffs_out(E), "N_budget": budget, "precision": prec,
     }
     if res is None:
         human = f"kisin hypothesis: no witness up to n = {budget}"
@@ -490,8 +457,8 @@ def _cmd_kisin_hypothesis(args, filecfg: dict):
 def _cmd_kisin_counterexample(args, filecfg: dict):
     spec = _field(args, filecfg)
     prec = _precision(args, filecfg)
-    f, name = _resolve_lift(spec, args, filecfg)
-    E, _ = _resolve_eis(spec, args, filecfg)
+    f, name = _resolve(FrobLift, spec, args, filecfg, "f")
+    E, _ = _resolve(EisensteinE, spec, args, filecfg, "E")
     n = _int_in(_get(args, filecfg, "n"), "config.n", low=0)
     w = counterexample_module(f, E, n, absprec=prec["piadic"])
     report = w.to_json()
@@ -499,8 +466,8 @@ def _cmd_kisin_counterexample(args, filecfg: dict):
     report["module_height_ok"] = verify_height(w.module)
     report["ambient_height_ok"] = verify_height(w.ambient)
     cfg = {
-        "field": _field_out(spec), "preset": name, "f": _lift_out(f),
-        "E": _eis_out(E), "n": n, "precision": prec,
+        "field": _field_out(spec), "preset": name, "f": _coeffs_out(f),
+        "E": _coeffs_out(E), "n": n, "precision": prec,
     }
     human = (f"kisin counterexample: level n = {n}, l = {w.l}, "
              f"heights ok = {report['module_height_ok']}")

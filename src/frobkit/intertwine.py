@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionError, SpecMismatchError
-from .scalars import DEFAULT_PREC, FElement, OFElement, OFExact, of_root
-from .series import FrobLift, USeries, s_compose
+from .scalars import DEFAULT_PREC, FElement, OFExact, of_root
+from .series import FrobLift, USeries, _as_felement, s_compose
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,34 @@ def check_compatible(f: FrobLift, f2: FrobLift) -> CompatReport:
     return CompatReport(s, s2, v, v2)
 
 
+def _common_degree(f: FrobLift, f2: FrobLift) -> int:
+    """The lowest degree s shared by two compatible lifts.
+
+    Raises SpecMismatchError when the lowest terms differ in degree or
+    valuation, or when s = 1 and the linear terms differ: no xi solves
+    f(xi) = xi(f2) then, since its u-coefficient would need a_1 = a_1'.
+    """
+    comp = check_compatible(f, f2)
+    if not comp.ok:
+        raise SpecMismatchError(
+            f"lifts are incompatible: lowest terms ({comp.s}, v={comp.v}) "
+            f"vs ({comp.s2}, v={comp.v2})"
+        )
+    if comp.s == 1 and f.coeffs[0] != f2.coeffs[0]:
+        raise SpecMismatchError("incompatible linear terms")
+    return comp.s
+
+
+def _start_prec(f: FrobLift, M: int, N: int) -> int:
+    """Working precision that leaves N digits after M degrees of division.
+
+    Each degree costs v(a_s) digits, plus e_F when s = p (the divisor is
+    then s*a_s with v(p) = e_F).
+    """
+    s, v = _lowest(f)
+    return N + M * (v + (f.spec.e_F if s == f.spec.p else 0)) + 2
+
+
 def compute_mu0(f: FrobLift, f2: FrobLift, choice=None,
                 prec: int = DEFAULT_PREC) -> list[FElement]:
     """Leading-coefficient candidates.
@@ -56,26 +84,10 @@ def compute_mu0(f: FrobLift, f2: FrobLift, choice=None,
     the caller's choice (default 1) is returned.  Otherwise mu0 must solve
     mu0^(s-1) = a_s'/a_s, and every residue-root candidate is returned.
     """
-    comp = check_compatible(f, f2)
-    if not comp.ok:
-        raise SpecMismatchError(
-            f"lifts are incompatible: lowest terms ({comp.s}, v={comp.v}) "
-            f"vs ({comp.s2}, v={comp.v2})"
-        )
-    s = comp.s
+    s = _common_degree(f, f2)
     spec = f.spec
     if s == 1:
-        if f.coeffs[0] != f2.coeffs[0]:
-            raise SpecMismatchError("incompatible linear terms")
-        if choice is None:
-            choice = OFExact.one(spec)
-        if isinstance(choice, int):
-            choice = OFExact.make(spec, choice)
-        if isinstance(choice, OFExact):
-            return [FElement.from_exact(choice, prec)]
-        if isinstance(choice, OFElement):
-            return [FElement.make(choice)]
-        return [choice]
+        return [_as_felement(spec, 1 if choice is None else choice, prec)]
     if choice is not None:
         raise ValueError("mu0 is determined by the lifts when s > 1")
     ratio = f2.coeffs[s - 1] / f.coeffs[s - 1]
@@ -120,22 +132,13 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     non-vanishing one means the inputs violate the compatibility theorem.
     """
     spec = f.spec
-    comp = check_compatible(f, f2)
-    if not comp.ok:
-        raise SpecMismatchError("lifts are incompatible")
-    s = comp.s
+    s = _common_degree(f, f2)
     if M < 1:
         raise ValueError("M must be at least 1")
     a_s = f.coeffs[s - 1]
-    loss = a_s.val() + (spec.e_F if s == spec.p else 0)
-    n_start = N + M * loss + 2
+    n_start = _start_prec(f, M, N)
 
-    if isinstance(mu0, int):
-        mu0 = OFExact.make(spec, mu0)
-    if isinstance(mu0, OFExact):
-        mu0 = FElement.from_exact(mu0, n_start)
-    elif isinstance(mu0, OFElement):
-        mu0 = FElement.make(mu0)
+    mu0 = _as_felement(spec, mu0, n_start)
     if mu0.is_zero_at_prec() or mu0.vlow() != 0:
         raise ValueError("mu0 must be a unit")
 
@@ -182,8 +185,7 @@ def solve_intertwiner_all(f: FrobLift, f2: FrobLift, M: int,
                           N: int = DEFAULT_PREC,
                           choice=None) -> list[IntertwineResult]:
     """One result per mu0 candidate (s > 1 can have several)."""
-    loss = _lowest(f)[1] + (f.spec.e_F if _lowest(f)[0] == f.spec.p else 0)
-    cands = compute_mu0(f, f2, choice=choice, prec=N + M * loss + 2)
+    cands = compute_mu0(f, f2, choice=choice, prec=_start_prec(f, M, N))
     return [solve_intertwiner(f, f2, mu, M, N) for mu in cands]
 
 

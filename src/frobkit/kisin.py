@@ -91,6 +91,8 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
+    """A*B for USeries or FElement entries, in any mix (a USeries times an
+    FElement is scaled coefficientwise)."""
     d = len(A)
     out = []
     for i in range(d):
@@ -152,33 +154,6 @@ def mat_const(spec: FieldSpec, rows, absprec: int = DEFAULT_PREC) -> Mat:
     """Lift a matrix of scalars to constant USeries."""
     return mat_make(spec, [[entry for entry in row] for row in rows],
                     absprec=absprec)
-
-
-def _mat_mul_scalars(A: Mat, C) -> Mat:
-    """A (USeries entries) times a matrix C of FElement constants."""
-    d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = A[i][0].scalar_mul(C[0][j])
-            for k in range(1, d):
-                acc = acc + A[i][k].scalar_mul(C[k][j])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _fmat_mul(A, B):
-    d = len(A)
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(1, d)),
-                start=A[i][0] * B[0][j])
-            for j in range(d)
-        )
-        for i in range(d)
-    )
 
 
 # --- the module type ---------------------------------------------------------
@@ -548,7 +523,6 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     tprec = max(tprec, DEFAULT_PREC) + spec.e_F + 2
     f_ser = f.as_series(tprec)
 
-    Awork = mat_truncate(m.A, u_order)
     ident = mat_identity(spec, m.d, absprec=tprec)
     gauges = []
     adj0_pow = adj0
@@ -560,10 +534,12 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     for n in range(1, max_n + 1):
         if n > 1:
             g_n = s_compose(f_ser, g_n).truncate(u_order)
-            adj0_pow = _fmat_mul(adj0_pow, adj0)
-        C = tuple(tuple(s_compose(x, g_n) for x in row) for row in Awork)
+            adj0_pow = mat_mul(adj0_pow, adj0)
+        # a polynomial entry of order k composes to cap u_order + k
+        C = tuple(tuple(s_compose(x, g_n).truncate(u_order) for x in row)
+                  for row in m.A)
         P = C if P is None else mat_mul(P, C)
-        N = _mat_mul_scalars(P, adj0_pow)
+        N = mat_mul(P, adj0_pow)
         delta = mat_sub(N, mat_scale(N_prev, det0))
         raw = _gauge_combine(
             gauge_alpha(entry, e0) for row in delta for entry in row
@@ -590,9 +566,9 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     # compared on a short u-window to keep the composition cheap
     check_cap = min(u_order, 6 * e0 * spec.p)
     f_short = f_ser.truncate(check_cap)
-    lhs = _mat_mul_scalars(mat_truncate(N, check_cap), A0)
+    lhs = mat_mul(mat_truncate(N, check_cap), A0)
     C1 = tuple(tuple(s_compose(x, f_short) for x in row)
-               for row in mat_truncate(Awork, check_cap))
+               for row in mat_truncate(m.A, check_cap))
     phiNp = tuple(tuple(s_compose(x, f_short) for x in row)
                   for row in mat_truncate(N_penult, check_cap))
     rhs = mat_scale(mat_mul(C1, phiNp), det0)

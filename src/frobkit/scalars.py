@@ -111,13 +111,6 @@ class FieldSpec:
             return 0
         return -((i - prec) // self.e_F)  # ceil((prec - i)/e_F)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "eisenstein": list(self.eisenstein)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldSpec":
-        return cls(int(obj["p"]), tuple(int(c) for c in obj["eisenstein"]))
-
 
 def qp_spec(p: int) -> FieldSpec:
     """F = Q_p itself, with pi = p (g = x - p)."""
@@ -159,6 +152,16 @@ def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return q, a
+
+
+def _fraction_in(v, path: str) -> Fraction:
+    """An integer or an "a/b" string as a Fraction; ValueError names path."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"{path}: expected an integer or 'a/b' string")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,6 +288,22 @@ class OFExact:
         c = self.vec[0]
         p = self.spec.p
         return c.numerator * pow(c.denominator, -1, p) % p
+
+    def to_json(self) -> str | list[str]:
+        """The JSON form of exact data: an "a/b" string when e_F = 1, else
+        one such string per coordinate."""
+        if len(self.vec) == 1:
+            return str(self.vec[0])
+        return [str(c) for c in self.vec]
+
+    @classmethod
+    def from_json(cls, spec: FieldSpec, obj, path: str = "value") -> "OFExact":
+        """Inverse of to_json; integers stand for themselves, and a malformed
+        entry raises ValueError naming its path."""
+        if isinstance(obj, list):
+            return cls.make(spec, [_fraction_in(c, f"{path}[{i}]")
+                                   for i, c in enumerate(obj)])
+        return cls.make(spec, [_fraction_in(obj, path)])
 
     def at_prec(self, prec: int) -> "OFElement":
         """Materialize as a truncated integral element known mod pi^prec."""

@@ -32,8 +32,6 @@ from .scalars import (
     _reduce_poly,
 )
 
-DEFAULT_CAP = 40
-
 # absprec sentinel for coefficients that are exactly zero
 _EXACT_ZERO_PREC = 10 ** 6
 
@@ -51,22 +49,6 @@ def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
     if ex.is_zero():
         return _exact_zero(spec)
     return FElement.from_exact(ex, absprec)
-
-
-def _exact_to_json(x: OFExact) -> dict:
-    """Exact master data keeps exact coordinates (digits would truncate)."""
-    return {"coords": [str(c) for c in x.vec]}
-
-
-def _exact_from_json(spec: FieldSpec, obj: dict) -> OFExact:
-    if "coords" in obj:
-        return OFExact.make(spec, [Fraction(s) for s in obj["coords"]])
-    shift = int(obj.get("shift", 0))
-    acc = OFExact.zero(spec)
-    for i, d in enumerate(int(x) for x in obj["digits"]):
-        if d:
-            acc = acc + OFExact.make(spec, [d]).times_pi(i)
-    return acc.times_pi(shift)
 
 
 # --- the series product kernel ------------------------------------------------
@@ -292,7 +274,9 @@ class USeries:
     def __sub__(self, other: "USeries") -> "USeries":
         return self + (-other)
 
-    def __mul__(self, other: "USeries") -> "USeries":
+    def __mul__(self, other: "USeries | FElement") -> "USeries":
+        if isinstance(other, FElement):
+            return self.scalar_mul(other)
         if self.cap is None and other.cap is None:
             length = len(self.coeffs) + len(other.coeffs) - 1
             cap = None
@@ -405,11 +389,11 @@ class FrobLift:
         return USeries.make(self.spec, list(self.coeffs), absprec=absprec)
 
     def to_json(self) -> dict:
-        return {"coeffs": [_exact_to_json(a) for a in self.coeffs]}
+        return {"coeffs": [a.to_json() for a in self.coeffs]}
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj: dict) -> "FrobLift":
-        return cls(spec, tuple(_exact_from_json(spec, a) for a in obj["coeffs"]))
+        return cls(spec, tuple(OFExact.from_json(spec, a) for a in obj["coeffs"]))
 
 
 def frobenius(x: USeries, f: FrobLift, n: int = 1, absprec: int | None = None) -> USeries:
@@ -466,11 +450,11 @@ class EisensteinE:
         return USeries.make(self.spec, list(self.coeffs), absprec=absprec)
 
     def to_json(self) -> dict:
-        return {"e0": self.e0, "coeffs": [_exact_to_json(c) for c in self.coeffs]}
+        return {"e0": self.e0, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj: dict) -> "EisensteinE":
-        return cls(spec, tuple(_exact_from_json(spec, c) for c in obj["coeffs"]))
+        return cls(spec, tuple(OFExact.from_json(spec, c) for c in obj["coeffs"]))
 
 
 def wdeg(x: USeries) -> int | None:

@@ -632,21 +632,18 @@ def check_E_reduction(E, u: WittVec) -> bool:
     """Component 0 of E(u) must be ubar^e0 times a unit: its lowest visible
     exponent is exactly e0, so v_R(E(u) mod pi) = e0 * v_R(ubar)."""
     coeffs = list(E.coeffs) if isinstance(E, EisensteinE) else list(E)
-    e0 = len(coeffs) - 1
-    comp0 = eval_poly_on_witt(coeffs, u).comps[0]
-    if comp0.is_zero():
-        return False
-    return comp0.min_alpha() == e0
+    # min_alpha is None for a zero component
+    return eval_poly_on_witt(coeffs, u).comps[0].min_alpha() == len(coeffs) - 1
 
 
 def e_reduction_report(E: EisensteinE, u: WittVec) -> dict:
-    """The reduction check with its exact rationals, for reports."""
-    comp0 = eval_poly_on_witt(list(E.coeffs), u).comps[0]
+    """The reduction check with its exact rationals, for reports; E(u) is
+    evaluated once and the verdict read off the same component 0."""
+    alpha = eval_poly_on_witt(list(E.coeffs), u).comps[0].min_alpha()
     e_F = u.spec.e_F
     v_ubar = Fraction(1, E.e0 * e_F)
-    alpha = comp0.min_alpha()
     return {
-        "ok": check_E_reduction(E, u),
+        "ok": alpha == E.e0,
         "v_R_ubar": str(v_ubar),
         "v_R_E_mod_pi": None if alpha is None else str(alpha * v_ubar),
         "v_pi": str(Fraction(1, e_F)),

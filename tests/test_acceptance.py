@@ -51,7 +51,6 @@ from frobkit import (
     verify_intertwine,
     xi_iterate,
 )
-from frobkit.kisin import _mat_mul_scalars
 from frobkit.scalars import FieldSpec, OFExact
 from frobkit.series import PRESET_NAMES
 from frobkit.tower import imin
@@ -393,7 +392,7 @@ def _xi_rank_one(absprec, u_order, max_n):
 def _xi_relation_floor(m, rep, max_n, u_order):
     A0 = m.constant_matrix()
     f_ser = m.f.as_series(40).truncate(u_order)
-    lhs = _mat_mul_scalars(rep.numerator, A0)
+    lhs = mat_mul(rep.numerator, A0)
     phiA = tuple(tuple(s_compose(x, f_ser) for x in row)
                  for row in fk.mat_truncate(m.A, u_order))
     phiN = tuple(tuple(s_compose(x, f_ser) for x in row)

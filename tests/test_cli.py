@@ -278,6 +278,12 @@ def test_domain_errors_exit_1(capsys):
     rc, _, err = invoke(capsys, "kisin", "counterexample", "--preset",
                         "cyclotomic", "--p", "3", "--n", "1")
     assert rc == 1 and "witness" in err
+    # s = 1 with a_1 != a_1': no intertwiner, with or without --all-mu0
+    for extra in ((), ("--all-mu0",)):
+        rc, out, err = invoke(capsys, "intertwine", "--preset-f", "cyclotomic",
+                              "--f2", "[6,0,1]", "--p", "3", "--M", "12",
+                              "--N", "6", *extra)
+        assert rc == 1 and out == "" and "linear terms" in err
 
 
 # --- installed entry point ---------------------------------------------------

@@ -1,0 +1,57 @@
+"""Golden CLI reports: the README's worked examples, byte for byte.
+
+Each example's stdout is pinned by its sha256 together with its exit
+status.  A refactor must leave every hash as it is; a change that is meant
+to alter a report updates the hash here and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from frobkit.cli import run
+
+GOLDEN = [
+    (["tower", "--preset", "cyclotomic", "--p", "3"],
+     "e67453cace15b8ec2577b6b5de4087c170034c279a7703974d4162e0f3c16e7a"),
+    (["kisin", "hypothesis", "--preset", "twisted", "--p", "3", "--N", "4"],
+     "2aaf09c1acc964d0bc35741a060d4a90a8c86cf9acd1be977de24170cef24d39"),
+    (["kisin", "counterexample", "--preset", "twisted", "--p", "3", "--n", "1"],
+     "78395e7012e2df388c7f283b95d832e45ff220e5a84a591ae0ae1f49de2ead41"),
+    (["witt-selftest", "--p", "3", "--witt-len", "3", "--trials", "25",
+      "--seed", "7"],
+     "333606b7b6a6eac2bb1ae6e4e8e1ce71b77496b09d8e7065321e7230213c6339"),
+    (["fixedpoint", "--preset", "lubin-tate", "--p", "3"],
+     "3acb0cebe41f0327f256611194bc5dc71c40a145b8d1fb2201bda52f32575f7c"),
+    (["kisin", "xi", "--p", "3", "--f", "[9,0,1]", "--E", "[-3,1]", "--r", "1",
+      "--max-n", "3", "--M", "30", "--N", "16", "--matrix", "[[[-3,1]]]"],
+     "a63a0dc3ff36454257faf2cdba04f3bf919aaa3643a8834cb1c353c02669ea9c"),
+    (["presets", "--p", "3"],
+     "ea5cc562a4b5aced16af467293ea17d102a663fc7ae36fb9eac2bbd847999616"),
+    (["intertwine", "--preset-f", "cyclotomic", "--preset-f2", "lubin-tate",
+      "--p", "3", "--M", "12", "--N", "8"],
+     "ce209ed2c93e6045d788a15ac0edbc462a0b3e0b1243f080e2caa28c7616d38a"),
+]
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_readme_example_report_is_unchanged(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reemitted_config_reproduces_the_golden_report(capsys, tmp_path):
+    argv, digest = GOLDEN[-1]
+    job = tmp_path / "job.json"
+    assert run(argv + ["--out", str(job)]) == 0
+    capsys.readouterr()
+    assert run(["intertwine", "--config", str(job)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -107,6 +107,13 @@ def test_mu0_linear_terms_must_agree_exactly():
         compute_mu0(FrobLift.make(Q3, [3, 0, 1]), FrobLift.make(Q3, [6, 0, 1]))
 
 
+def test_solve_rejects_unequal_linear_terms():
+    # the same check as compute_mu0: with s = 1 no xi exists unless
+    # a_1 = a_1', so the solver must not return an unverified series
+    with pytest.raises(SpecMismatchError):
+        solve_intertwiner(CYC3, FrobLift.make(Q3, [6, 0, 1]), 1, 12, N=6)
+
+
 def test_mu0_incompatible_pair_rejected():
     with pytest.raises(SpecMismatchError):
         compute_mu0(FrobLift.make(Q3, [3, 0, 1]), FrobLift.make(Q3, [0, 3, 1]))

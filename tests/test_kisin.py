@@ -44,7 +44,6 @@ from frobkit import (
     verify_height,
     xi_iterate,
 )
-from frobkit.kisin import _fmat_mul, _mat_mul_scalars
 
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
@@ -516,6 +515,18 @@ def test_xi_constant_matrix_gives_identity():
             assert all(c.is_zero_at_prec() for c in entry.coeffs[1:])
 
 
+def test_xi_reports_every_entry_to_the_u_order():
+    # entries of u-order 0, 1 and 2 and an exact zero: a polynomial of
+    # u-order k composes to a longer series, cut back to the u-order
+    E = eisenstein_preset(Q3, "classical")
+    f = FrobLift.make(Q3, [9, 0, 1])
+    m = KisinModule.make(f, E, 1, [[1, [0, 0, 1]], [0, list(E.coeffs)]],
+                         absprec=16)
+    rep = xi_iterate(m, 3, u_order=30)
+    for mat in (rep.numerator, rep.Y):
+        assert [[x.cap for x in row] for row in mat] == [[30, 30], [30, 30]]
+
+
 def test_xi_rank_one_matches_lambda_product_oracle():
     E = eisenstein_preset(Q3, "classical")
     f = FrobLift.make(Q3, [9, 0, 1])
@@ -563,7 +574,7 @@ def test_xi_limit_relation_holds_at_available_gauge():
     rep = xi_iterate(m, 5, u_order=u_order)
     A0 = m.constant_matrix()
     f_ser = m.f.as_series(20).truncate(u_order)
-    lhs = _mat_mul_scalars(rep.numerator, A0)
+    lhs = mat_mul(rep.numerator, A0)
     phiA = tuple(tuple(fk.s_compose(x, f_ser) for x in row)
                  for row in fk.mat_truncate(m.A, u_order))
     phiN = tuple(tuple(fk.s_compose(x, f_ser) for x in row)
@@ -587,12 +598,11 @@ def test_xi_restart_rebase_identity():
     A0 = m.constant_matrix()
     adj0 = mat_adj(A0)
     det0 = mat_det(A0)
-    A0p = _fmat_mul(A0, A0)
-    adj0p = _fmat_mul(adj0, adj0)
+    A0p = mat_mul(A0, A0)
+    adj0p = mat_mul(adj0, adj0)
     lhs = mat_scale(rep_full.numerator, det0**n0)
     phiNk = mat_frob(rep_k.numerator, m.f, n0)
-    rhs = _mat_mul_scalars(mat_mul(_mat_mul_scalars(rep_n0.numerator, A0p),
-                                   phiNk), adj0p)
+    rhs = mat_mul(mat_mul(mat_mul(rep_n0.numerator, A0p), phiNk), adj0p)
     assert mat_is_zero(mat_sub(lhs, rhs))
 
 

@@ -247,6 +247,24 @@ def test_digits_roundtrip(spec, a):
 
 
 @pytest.mark.parametrize("spec", SPECS)
+def test_exact_json_roundtrip(spec):
+    # "a/b" strings, one per coordinate unless e_F = 1
+    rest = list(range(2, spec.e_F + 1))
+    x = OFExact.make(spec, [Fraction(-7, 9), *rest])
+    obj = x.to_json()
+    assert obj == ("-7/9" if spec.e_F == 1 else ["-7/9", *map(str, rest)])
+    assert OFExact.from_json(spec, obj) == x
+
+
+def test_exact_json_errors_name_the_path():
+    spec = qp_spec(3)
+    with pytest.raises(ValueError, match=r"^f\[1\]: expected an integer"):
+        OFExact.from_json(spec, [1, True], "f")
+    with pytest.raises(ValueError, match=r"^c: "):
+        OFExact.from_json(spec, "1/0", "c")
+
+
+@pytest.mark.parametrize("spec", SPECS)
 @given(a=coord_lists, m=st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_root_powers_back(spec, a, m):

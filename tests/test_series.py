@@ -348,9 +348,15 @@ def test_eisenstein_rejects_bad_constant():
 
 
 def test_froblift_json_roundtrip():
+    # coefficients in the one JSON form of exact data, OFExact.to_json
     for name in ("classical", "cyclotomic", "lubin-tate", "twisted"):
         f = frob_preset(RAM3, name)
-        assert FrobLift.from_json(RAM3, f.to_json()) == f
+        obj = f.to_json()
+        assert obj["coeffs"] == [a.to_json() for a in f.coeffs]
+        assert FrobLift.from_json(RAM3, obj) == f
+    # the CLI's inputs: integers and "a/b" strings read the same
+    cyclotomic = FrobLift.from_json(Q3, {"coeffs": [3, "3", "1/1"]})
+    assert cyclotomic == frob_preset(Q3, "cyclotomic")
 
 
 def test_eisenstein_json_roundtrip():
@@ -358,9 +364,12 @@ def test_eisenstein_json_roundtrip():
     # lubin-tate covers the ramified serialization path
     for name in ("cyclotomic", "twisted"):
         E = eisenstein_preset(Q3, name)
+        assert E.to_json()["coeffs"] == [str(c.vec[0]) for c in E.coeffs]
         assert EisensteinE.from_json(Q3, E.to_json()) == E
     E = eisenstein_preset(RAM3, "lubin-tate")
-    assert EisensteinE.from_json(RAM3, E.to_json()) == E
+    obj = E.to_json()
+    assert obj["e0"] == 2 and obj["coeffs"][0] == ["0", "1"]  # pi
+    assert EisensteinE.from_json(RAM3, obj) == E
 
 
 def test_useries_json_shape():

@@ -89,6 +89,10 @@ def test_kernel_matches_reference_loop(name, min_shift):
         got, want = x * y, reference_mul(x, y)
         assert got.cap == want.cap
         assert got.coeffs == want.coeffs
+        # a scalar operand scales coefficientwise: exact zeros,
+        # placeholders and caps as scalar_mul leaves them
+        c = y.coeff(0)
+        assert x * c == x.scalar_mul(c)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
