@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .errors import (
     BudgetError,
@@ -46,14 +45,7 @@ from .series import (
     frob_preset,
 )
 from .tower import TowerSpec, tower_report
-from .witt import (
-    DEFAULT_BUDGET,
-    e_reduction_report,
-    eval_poly_exact,
-    f_fixed_point_report,
-    ghost_map,
-    witt_polys,
-)
+from .witt import DEFAULT_BUDGET, e_reduction_report, f_fixed_point_report, ghost_trials
 
 
 class ConfigError(ValueError):
@@ -134,8 +126,11 @@ def _field(args, cfg: dict) -> FieldSpec:
     if not isinstance(g, list):
         raise ConfigError("config.field.g: expected a coefficient list")
     try:
-        return FieldSpec(p, tuple(int(_fraction_in(c, f"config.field.g[{i}]"))
-                                  for i, c in enumerate(g)))
+        coeffs = [_fraction_in(c, f"config.field.g[{i}]") for i, c in enumerate(g)]
+        for i, c in enumerate(coeffs):
+            if c.denominator != 1:
+                raise ValueError(f"config.field.g[{i}]: expected an integer")
+        return FieldSpec(p, tuple(int(c) for c in coeffs))
     except ValueError as exc:
         raise ConfigError(f"config.field.g: {exc}") from None
 
@@ -331,20 +326,7 @@ def _cmd_witt_selftest(args, filecfg: dict):
     checks = []
     for spec in specs:
         for n in range(1, max_len + 1):
-            ps = witt_polys(n, spec)  # integrality is enforced in construction
-            exact = 0
-            for _ in range(trials):
-                pt = [OFExact.make(spec, [Fraction(rng.randint(-4, 4))
-                                          for _ in range(spec.e_F)])
-                      for _ in range(2 * n)]
-                xs, ys = pt[:n], pt[n:]
-                sums = [eval_poly_exact(ps.sums[m], pt, spec) for m in range(n)]
-                prods = [eval_poly_exact(ps.prods[m], pt, spec) for m in range(n)]
-                gx, gy = ghost_map(spec, xs), ghost_map(spec, ys)
-                gs, gp = ghost_map(spec, sums), ghost_map(spec, prods)
-                if all(gs[m] == gx[m] + gy[m] and gp[m] == gx[m] * gy[m]
-                       for m in range(n)):
-                    exact += 1
+            exact = ghost_trials(spec, n, trials, rng)
             checks.append({
                 "field": _field_out(spec), "length": n,
                 "integral": True, "ghost_trials": trials,

@@ -33,6 +33,7 @@ from .series import (
     EisensteinE,
     FrobLift,
     USeries,
+    _gauge_combine,
     e_divides,
     e_order,
     frobenius,
@@ -412,46 +413,29 @@ def counterexample_module(f: FrobLift, E: EisensteinE, n: int,
     l, rem = divmod((spec.p - 1) * spec.p**n, E.e0)
     if rem:
         raise SpecMismatchError("degree of E does not divide the forced exponent")
+    fpoly = [OFExact.zero(spec), *f.coeffs]
     if n == 0:
         acc = [OFExact.zero(spec), OFExact.one(spec)]
     else:
-        acc = [OFExact.zero(spec), *f.coeffs]
+        acc = fpoly
         g = list(f.coeffs)
-        fpoly = [OFExact.zero(spec), *f.coeffs]
         for _ in range(1, n):
             g = _xp_compose(g, fpoly, spec)
             acc = _xp_mul(acc, g, spec)
-    lhs = _xp_mul(acc, _xp_pow(list(E.coeffs), l, spec), spec)
-    rhs = _xp_compose(acc, [OFExact.zero(spec), *f.coeffs], spec)
+    El = _xp_pow(list(E.coeffs), l, spec)
+    lhs = _xp_mul(acc, El, spec)
+    rhs = _xp_compose(acc, fpoly, spec)
     if not _xp_eq(lhs, rhs, spec):
         raise SpecMismatchError(
             f"A*E^{l} = phi(A) fails: (n, l) = ({n}, {l}) is not a witness"
         )
     A = _xp_series(spec, acc, absprec)
-    module = KisinModule.make(f, E, l, [[_xp_series(spec, _xp_pow(list(E.coeffs), l, spec), absprec)]])
+    module = KisinModule.make(f, E, l, [[_xp_series(spec, El, absprec)]])
     ambient = KisinModule.make(f, E, l, [[1]], absprec=absprec)
     return CounterexampleWitness(A, l, module, ambient)
 
 
 # --- the Y_n iteration -------------------------------------------------------
-
-
-def _gauge_combine(values):
-    """Entrywise minimum of gauge readings (None = no visible difference)."""
-    visible = None
-    bound = None
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, AtLeast):
-            bound = v.bound if bound is None else min(bound, v.bound)
-        else:
-            visible = v if visible is None else min(visible, v)
-    if visible is None:
-        return None if bound is None else AtLeast(bound)
-    if bound is not None and bound < visible:
-        return AtLeast(bound)
-    return visible
 
 
 def _gauge_shift(g, c: int):

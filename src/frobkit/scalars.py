@@ -536,14 +536,16 @@ def _ofelt_zero(spec: FieldSpec, prec: int) -> "OFElement":
 
 @lru_cache(maxsize=None)
 def _felt_zero(spec: FieldSpec, absprec: int) -> "FElement":
+    # a unit's prec is never below 0, so a label below 0 rides on the shift
+    if absprec < 0:
+        return FElement(_ofelt_zero(spec, 0), absprec)
     return FElement(_ofelt_zero(spec, absprec), 0)
 
 
 def _felt_normalize(unit: OFElement, shift: int) -> "FElement":
     v = unit.val()
     if v is None:
-        absprec = unit.prec + shift
-        return FElement(OFElement.zero(unit.spec, max(absprec, 0)), 0)
+        return _felt_zero(unit.spec, unit.prec + shift)
     if v > 0:
         return FElement(unit.div_pi(v), shift + v)
     return FElement(unit, shift)
@@ -574,7 +576,7 @@ class FElement:
 
     @classmethod
     def zero_at(cls, spec: FieldSpec, absprec: int) -> "FElement":
-        return _felt_zero(spec, max(absprec, 0))
+        return _felt_zero(spec, absprec)
 
     @classmethod
     def from_exact(cls, x: OFExact, absprec: int = DEFAULT_PREC) -> "FElement":

@@ -57,9 +57,9 @@ def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
 # exact zeros skipped and every other term, zero-at-precision placeholders
 # included, entering the label.  The label of a_i * b_j is
 # min(N_a_i + v(b_j), N_b_j + v(a_i)) (N the label, v the valuation, v = N
-# for a zero), clamped at 0 when the term is zero; the label of a sum is the
-# least label of its terms.  So the labels come from a min-plus pass on
-# plain ints, and the values from one Kronecker-packed integer product.
+# for a zero), below 0 as well as above; the label of a sum is the least
+# label of its terms.  So the labels come from a min-plus pass on plain
+# ints, and the values from one Kronecker-packed integer product.
 
 # label and valuation of an exact zero inside the min-plus pass: a pair with
 # one sums to more than the exact-zero label (real labels are far below
@@ -128,7 +128,7 @@ def _pack(spec: FieldSpec, nonzero, s0: int, length: int, stride: int,
 
 def _product(x: "USeries", y: "USeries", length: int) -> tuple[FElement, ...]:
     """Coefficients 0..length-1 of x*y, identical to summing the FElement
-    products x_i * y_j in order of i."""
+    products x_i * y_j in any order."""
     spec = x.spec
     e = spec.e_F
     na, va, nza = _kernel_inputs(x, length)
@@ -161,15 +161,7 @@ def _product(x: "USeries", y: "USeries", length: int) -> tuple[FElement, ...]:
     out = []
     zeros = {}
     for k, m in enumerate(labels):
-        if m < 0:
-            # FElement sums clamp a zero's label at 0, so below 0 the
-            # label depends on the order of the terms: add them in order
-            acc = _exact_zero(spec)
-            for i in range(k + 1):
-                if na[i] != _SKIPPED and nb[k - i] != _SKIPPED:
-                    acc = acc + x.coeff(i) * y.coeff(k - i)
-            out.append(acc)
-        elif coords is None or m <= s0 or not any(coords[k]):
+        if coords is None or m <= s0 or not any(coords[k]):
             if m not in zeros:
                 zeros[m] = FElement.zero_at(spec, m)
             out.append(zeros[m])
@@ -492,6 +484,9 @@ def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElem
     q -> shift_down(x + q*(u^e0 - E)); u^e0 - E has coefficients divisible
     by pi, so the iteration contracts pi-adically and the placeholder tails
     of x degrade the labels of the top quotient coefficients on their own.
+    Coefficient k of the new q depends only on the coefficients above k of
+    the old one, so with cap L the fixed point is reached after at most L
+    passes and confirmed by pass L + 1.
     """
     spec = x.spec
     e0 = E.e0
@@ -503,23 +498,18 @@ def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElem
     if x.cap is None:
         return _poly_longdiv(x, ecoeffs)
     L = x.cap
-    dcoeffs = [-c for c in ecoeffs[:e0]]  # u^e0 - E
+    d = USeries(spec, tuple(-c for c in ecoeffs[:e0]), None)  # u^e0 - E
     xs = [x.coeff(n) for n in range(L + e0)]  # top e0 entries: unknown tail
     q = [_exact_zero(spec)] * L
-    for _ in range(2 * maxp + 12):
-        y = list(xs)
-        for i, qi in enumerate(q):
-            if qi.is_zero_at_prec() and qi.absprec >= _EXACT_ZERO_PREC:
-                continue
-            for j, dj in enumerate(dcoeffs):
-                if i + j < L + e0:
-                    y[i + j] = y[i + j] + qi * dj
+    for _ in range(L + 1):
+        qd = _product(USeries(spec, tuple(q), None), d, L + e0)
+        y = list(map(add, xs, qd))
         q_new = y[e0:]
         if all((a - b).is_zero_at_prec() and a.absprec == b.absprec
                for a, b in zip(q_new, q)):
-            return USeries(spec, tuple(q_new), L), y[:e0]
+            break
         q = q_new
-    raise ArithmeticError("Weierstrass division failed to stabilize")
+    return USeries(spec, tuple(q_new), L), y[:e0]
 
 
 def _divisible_verdict(rem: list[FElement]) -> bool:
@@ -617,6 +607,25 @@ def newton_hull(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(hull))
 
 
+def _gauge_combine(values):
+    """Minimum of gauge readings (None = no visible difference): the least
+    visible value, unless an AtLeast bound could undercut it."""
+    visible = None
+    bound = None
+    for v in values:
+        if v is None:
+            continue
+        if isinstance(v, AtLeast):
+            bound = v.bound if bound is None else min(bound, v.bound)
+        else:
+            visible = v if visible is None else min(visible, v)
+    if visible is None:
+        return None if bound is None else AtLeast(bound)
+    if bound is not None and bound < visible:
+        return AtLeast(bound)
+    return visible
+
+
 def gauge_alpha(x: USeries, e0: int) -> int | AtLeast | None:
     """min_n (v_F(c_n) + floor(n/(e0*p))) over represented coefficients.
 
@@ -625,26 +634,17 @@ def gauge_alpha(x: USeries, e0: int) -> int | AtLeast | None:
     undercut the visible minimum.
     """
     step = e0 * x.spec.p
-    visible = None
-    floor_bound = None
+    readings = []
     for n, c in enumerate(x.coeffs):
         v = c.val()
-        if isinstance(v, AtLeast):
-            if v.bound < _EXACT_ZERO_PREC:
-                b = v.bound + n // step
-                floor_bound = b if floor_bound is None else min(floor_bound, b)
-        else:
-            w = v + n // step
-            visible = w if visible is None else min(visible, w)
+        if not isinstance(v, AtLeast):
+            readings.append(v + n // step)
+        elif v.bound < _EXACT_ZERO_PREC:
+            readings.append(AtLeast(v.bound + n // step))
     if x.cap is not None:
         # unknown integral tail could contribute from order cap onward
-        b = x.cap // step
-        floor_bound = b if floor_bound is None else min(floor_bound, b)
-    if visible is None:
-        return None if floor_bound is None else AtLeast(floor_bound)
-    if floor_bound is not None and floor_bound < visible:
-        return AtLeast(floor_bound)
-    return visible
+        readings.append(AtLeast(x.cap // step))
+    return _gauge_combine(readings)
 
 
 def gauge_low(x: USeries, e0: int) -> int | None:

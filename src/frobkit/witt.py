@@ -18,8 +18,10 @@ comparing ghosts.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BudgetError, IntegralityError
 from .scalars import FieldSpec, OFExact
@@ -138,9 +140,7 @@ class WittPolySet:
     prods: tuple[dict, ...]
 
 
-_POLY_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
     """S_0..S_{n-1} and P_0..P_{n-1} from the ghost recursion.
 
@@ -150,10 +150,6 @@ def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
     """
     if n < 1 or n > WITT_LENGTH_BOUND:
         raise ValueError(f"Witt length must be within 1..{WITT_LENGTH_BOUND}")
-    key = (spec, n)
-    hit = _POLY_CACHE.get(key)
-    if hit is not None:
-        return hit
     p = spec.p
     sums: list[dict] = []
     prods: list[dict] = []
@@ -176,17 +172,12 @@ def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
                     )
                 out[kk] = shifted
             acc_list.append(out)
-    result = WittPolySet(spec, n, tuple(sums), tuple(prods))
-    _POLY_CACHE[key] = result
-    return result
+    return WittPolySet(spec, n, tuple(sums), tuple(prods))
 
 
+@lru_cache(maxsize=None)
 def _reduced_polys(n: int, spec: FieldSpec) -> tuple[list[dict], list[dict]]:
     """S/P coefficients reduced to F_p residues (vanishing terms dropped)."""
-    key = (spec, n, "red")
-    hit = _POLY_CACHE.get(key)
-    if hit is not None:
-        return hit
     ps = witt_polys(n, spec)
     red_s: list[dict] = []
     red_p: list[dict] = []
@@ -198,8 +189,28 @@ def _reduced_polys(n: int, spec: FieldSpec) -> tuple[list[dict], list[dict]]:
                 if r:
                     d[kk] = r
             red.append(d)
-    _POLY_CACHE[key] = (red_s, red_p)
     return red_s, red_p
+
+
+def ghost_trials(spec: FieldSpec, n: int, trials: int, rng: random.Random) -> int:
+    """How many of trials random integral points (coordinates drawn from
+    rng in -4..4) satisfy w(S) = w(x) + w(y) and w(P) = w(x) * w(y)
+    exactly in every ghost coordinate of length n."""
+    ps = witt_polys(n, spec)  # integrality is enforced in construction
+    good = 0
+    for _ in range(trials):
+        pt = [OFExact.make(spec, [Fraction(rng.randint(-4, 4))
+                                  for _ in range(spec.e_F)])
+              for _ in range(2 * n)]
+        xs, ys = pt[:n], pt[n:]
+        sums = [eval_poly_exact(ps.sums[m], pt, spec) for m in range(n)]
+        prods = [eval_poly_exact(ps.prods[m], pt, spec) for m in range(n)]
+        gx, gy = ghost_map(spec, xs), ghost_map(spec, ys)
+        gs, gp = ghost_map(spec, sums), ghost_map(spec, prods)
+        if all(gs[m] == gx[m] + gy[m] and gp[m] == gx[m] * gy[m]
+               for m in range(n)):
+            good += 1
+    return good
 
 
 # --- the perfected residue model ---------------------------------------------

@@ -60,8 +60,7 @@ from frobkit.witt import (
     _poly_mul,
     _poly_pow,
     _poly_scale,
-    eval_poly_exact,
-    ghost_map,
+    ghost_trials,
     witt_polys,
 )
 
@@ -199,25 +198,6 @@ def witt_congruent(a, b) -> bool:
         perf_congruent(x, y) for x, y in zip(a.comps, b.comps))
 
 
-def ghost_trials_exact(spec, n, trials, seed) -> int:
-    ps = witt_polys(n, spec)
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(trials):
-        pt = [OFExact.make(spec, [Fraction(rng.randint(-4, 4))
-                                  for _ in range(spec.e_F)])
-              for _ in range(2 * n)]
-        xs, ys = pt[:n], pt[n:]
-        sums = [eval_poly_exact(ps.sums[m], pt, spec) for m in range(n)]
-        prods = [eval_poly_exact(ps.prods[m], pt, spec) for m in range(n)]
-        gx, gy = ghost_map(spec, xs), ghost_map(spec, ys)
-        gs, gp = ghost_map(spec, sums), ghost_map(spec, prods)
-        if all(gs[m] == gx[m] + gy[m] and gp[m] == gx[m] * gy[m]
-               for m in range(n)):
-            good += 1
-    return good
-
-
 # --- the criteria -------------------------------------------------------
 
 
@@ -345,7 +325,7 @@ def test_criterion_5_witt_selftest():
         for n in range(1, 5):
             witt_polys(n, spec)  # integrality enforced in construction
             assert witt_symbolic_ok(spec, n)
-            good = ghost_trials_exact(spec, n, 100, seed=1000 * n + spec.e_F)
+            good = ghost_trials(spec, n, 100, random.Random(1000 * n + spec.e_F))
             assert good == 100
             results[(spec.e_F, n)] = good
     elapsed = time.perf_counter() - t0
@@ -511,8 +491,8 @@ def test_criterion_9_precision_refinement():
     # 5: doubled trial count, still 100% exact (outputs are exact rationals)
     for spec in (Q3, RAM3):
         for n in range(1, 5):
-            assert ghost_trials_exact(spec, n, 200,
-                                      seed=1000 * n + spec.e_F) == 200
+            assert ghost_trials(spec, n, 200,
+                                random.Random(1000 * n + spec.e_F)) == 200
     notes.append("witt ghost trials exact at 200 per length")
 
     # 6: doubled root/exponent budget; components agree below the old bound

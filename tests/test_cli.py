@@ -262,6 +262,20 @@ def test_unreadable_config_exits_1(capsys, tmp_path):
     assert rc == 1 and "invalid JSON" in err
 
 
+def test_non_integer_field_coefficient_exits_1(capsys, tmp_path):
+    # g must have integer coefficients: "-7/2" is rejected, not cut to -3
+    rc, out, err = invoke(capsys, "presets", "--p", "3",
+                          "--base-g", '["-7/2", 1]')
+    assert rc == 1 and out == "" and "config.field.g[0]" in err
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps({"field": {"p": 3, "g": [-3, "1/2", 1]}}))
+    rc, out, err = invoke(capsys, "presets", "--config", str(cfg))
+    assert rc == 1 and out == "" and "config.field.g[1]" in err
+    # an integer written as a fraction still names the field it means
+    rc, out, _ = invoke(capsys, "presets", "--p", "3", "--base-g", '["-6/2", 1]')
+    assert rc == 0 and json.loads(out)["config"]["field"]["g"] == [-3, 1]
+
+
 def test_budget_exhaustion_exits_2(capsys):
     rc, out, err = invoke(capsys, "witt-selftest", "--p", "3",
                           "--witt-len", "5", "--trials", "1")

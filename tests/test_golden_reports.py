@@ -1,7 +1,9 @@
 """Golden CLI reports: the README's worked examples, byte for byte.
 
 Each example's stdout is pinned by its sha256 together with its exit
-status.  A refactor must leave every hash as it is; a change that is meant
+status; so is the stdout of the kisin height, fil1 and minheight
+invocations of tests/test_cli.py, whose verdicts run through Weierstrass
+division by E.  A refactor must leave every hash as it is; a change that is meant
 to alter a report updates the hash here and says why in CHANGES.md.
 """
 
@@ -34,6 +36,23 @@ GOLDEN = [
 ]
 
 
+_MAT = "[[[3,3,1],0],[0,1]]"
+
+KISIN_GOLDEN = [
+    (["kisin", "height", "--preset", "cyclotomic", "--p", "3", "--r", "1",
+      "--matrix", _MAT],
+     "cd0465f4733ea2733be2b2e157aceecf0b861529f770d4a975cc9e662c61d3ad"),
+    (["kisin", "height", "--preset", "cyclotomic", "--p", "3", "--r", "0",
+      "--matrix", _MAT],
+     "45c70c978350fe6fc8fbbdfb2b08f1938de7082293c9ddee09ff6a68ed332bc0"),
+    (["kisin", "fil1", "--preset", "cyclotomic", "--p", "3", "--matrix", _MAT],
+     "d1a1d000f11ed66ab17e2a6ca2ffb1c8c0bb3b51f2d6a0342ecc71f70c706a9f"),
+    (["kisin", "minheight", "--preset", "cyclotomic", "--p", "3",
+      "--series", "[3,3,1]"],
+     "a01777dcd3dc6bc2e5d887b7224427873bcb0a0215c32f542b3c7ea3a11b8188"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
@@ -42,6 +61,14 @@ def _clean_env(monkeypatch):
 @pytest.mark.parametrize("argv, digest", GOLDEN,
                          ids=[" ".join(a[:2]) for a, _ in GOLDEN])
 def test_readme_example_report_is_unchanged(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", KISIN_GOLDEN,
+                         ids=["height r=1", "height r=0", "fil1", "minheight"])
+def test_kisin_cli_report_is_unchanged(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

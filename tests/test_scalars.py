@@ -316,6 +316,18 @@ def test_addition_cancellation_keeps_absprec():
     assert d.is_zero_at_prec() and d.absprec == 8
 
 
+def test_zero_below_label_0_keeps_its_label_in_any_order():
+    # x = 3^-2 + O(3^-1), z = 3^-1 + O(3^5): x - x is O(3^-1), so both
+    # groupings of x - x + z know nothing beyond O(3^-1)
+    spec = qp_spec(3)
+    x = FElement.make(OFElement.from_int(spec, 1, 1), -2)
+    z = FElement.make(OFElement.from_int(spec, 1, 6), -1)
+    assert (x.absprec, z.absprec) == (-1, 5)
+    for got in ((x - x) + z, x + (-x + z)):
+        assert got.is_zero_at_prec() and got.absprec == -1
+    assert (x - x) + z == x + (-x + z) == FElement.zero_at(spec, -1)
+
+
 def test_division_by_zero_at_prec_raises():
     spec = qp_spec(3)
     with pytest.raises(PrecisionError):

@@ -1,12 +1,20 @@
 """Series layer: products, composition, Frobenius, Weierstrass data, gauge."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobkit import FElement, FieldSpec, IndeterminateError, OFElement, qp_spec
+from frobkit import (
+    FElement,
+    FieldSpec,
+    IndeterminateError,
+    OFElement,
+    OFExact,
+    qp_spec,
+)
 from frobkit.series import (
     EisensteinE,
     FrobLift,
@@ -203,6 +211,69 @@ def test_e_order_indeterminate_when_precision_gone():
     x = USeries(Q3, tuple(cs), 8)
     with pytest.raises(IndeterminateError):
         e_order(x, E)
+
+
+# e_order on capped input: the cofactor's cap and every coefficient's
+# (unit prec, unit vec, shift), as recorded before the capped Weierstrass
+# division ran through the series product kernel.  The CLI only ever
+# divides polynomials, so these pins are what holds the capped branch.
+
+def _cofactor_rows(spec, e, ys, k, cap, absprec):
+    E = EisensteinE.make(spec, e)
+    x = USeries.make(spec, ys, cap=cap, absprec=absprec)
+    Es = E.as_series(absprec + 4).truncate(cap)
+    for _ in range(k):
+        x = x * Es
+    kk, cof = e_order(x, E)
+    return kk, cof.cap, [(c.unit.prec, c.unit.vec, c.shift) for c in cof.coeffs]
+
+
+PI3 = OFExact.pi(RAM3)
+
+E_ORDER_PINS = [
+    # e0 = 1 over Z_3, E^2 divides
+    ((Q3, [-3, 1], [1, 2, 5, 0, 7], 2, 14, 12),
+     (2, 12, [(12, (1,), 0), (11, (2,), 0), (10, (5,), 0), (9, (0,), 0),
+              (8, (7,), 0), (7, (0,), 0), (6, (0,), 0), (5, (0,), 0),
+              (4, (0,), 0), (3, (0,), 0), (2, (0,), 0), (1, (0,), 0)])),
+    # e0 = 2 over Z_3, input labels 100
+    ((Q3, [3, 0, 1], [1, 4, 0, 2], 1, 12, 100),
+     (1, 10, [(5, (1,), 0), (5, (4,), 0), (4, (0,), 0), (4, (2,), 0),
+              (3, (0,), 0), (3, (0,), 0), (2, (0,), 0), (2, (0,), 0),
+              (1, (0,), 0), (1, (0,), 0)])),
+    # e0 = 3 over Z_3
+    ((Q3, [-3, 0, 0, 1], [2, 1, 9, 4, 0, 1], 1, 15, 10),
+     (1, 12, [(4, (2,), 0), (4, (1,), 0), (2, (1,), 2), (3, (4,), 0),
+              (3, (0,), 0), (3, (1,), 0), (2, (0,), 0), (2, (0,), 0),
+              (2, (0,), 0), (1, (0,), 0), (1, (0,), 0), (1, (0,), 0)])),
+    # e0 = 2 over Z_3[pi], pi^2 = 3: E = u^2 + pi
+    ((RAM3, [PI3, 0, 1], [1, 2, PI3, 1], 1, 12, 10),
+     (1, 10, [(5, (1, 0), 0), (5, (2, 0), 0), (3, (1, 0), 1), (4, (1, 0), 0),
+              (3, (0, 0), 0), (3, (0, 0), 0), (2, (0, 0), 0), (2, (0, 0), 0),
+              (1, (0, 0), 0), (1, (0, 0), 0)])),
+]
+
+
+@pytest.mark.parametrize("args, want", E_ORDER_PINS,
+                         ids=["e0=1", "e0=2", "e0=3", "ramified-e0=2"])
+def test_e_order_capped_cofactor_is_pinned(args, want):
+    assert _cofactor_rows(*args) == want
+
+
+def test_e_order_capped_cofactor_above_64_digits_is_pinned():
+    # E = u^2 + 3 at input labels 100 and cap 240: E is materialized at 66
+    # digits, so q_0 and q_1 stop at 67 (a known clamp, pinned until the
+    # exact-zero flag lets it go)
+    E = EisensteinE.make(Q3, [3, 0, 1])
+    x = (USeries.make(Q3, [1, 1, 1, 1], cap=240, absprec=100)
+         * USeries.make(Q3, [3, 0, 1], absprec=100))
+    k, cof = e_order(x, E)
+    rows = [(c.unit.prec, c.unit.vec, c.shift) for c in cof.coeffs]
+    assert (k, cof.cap) == (1, 238)
+    assert rows[:4] == [(67, (1,), 0), (67, (1,), 0), (100, (1,), 0),
+                        (100, (1,), 0)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "e81a61bc0dbee98a15d266839adc634f048c119eb19d883a9b6dfec4eb472e58")
 
 
 # --- Newton polygon ----------------------------------------------------------

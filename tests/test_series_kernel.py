@@ -2,10 +2,10 @@
 
 reference_mul is the per-coefficient FElement loop that USeries.__mul__
 ran before the Kronecker kernel: every live pair a_i * b_j is multiplied
-and added in order of i, exact zeros skipped.  The kernel must return the
-same FElement tuples (values, shifts and precision labels) and the same
-cap on random series over Z_3, Z_5, Z_3[pi] with pi^2 = 3, and Z_3 with
-uniformizer -6.
+and added, in order of i or in reverse, exact zeros skipped.  The kernel
+must return the same FElement tuples (values, shifts and precision
+labels) and the same cap on random series over Z_3, Z_5, Z_3[pi] with
+pi^2 = 3, and Z_3 with uniformizer -6.
 """
 
 import random
@@ -31,7 +31,7 @@ def window(x: USeries, length: int) -> list[FElement]:
     return cs
 
 
-def reference_mul(x: USeries, y: USeries) -> USeries:
+def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
     if x.cap is None and y.cap is None:
         length = len(x.coeffs) + len(y.coeffs) - 1
         cap = None
@@ -46,7 +46,7 @@ def reference_mul(x: USeries, y: USeries) -> USeries:
     av = [(i, c) for i, c in enumerate(window(x, length)) if live(c)]
     bv = [(j, c) for j, c in enumerate(window(y, length)) if live(c)]
     out = [_exact_zero(x.spec)] * length
-    for i, ca in av:
+    for i, ca in (reversed(av) if reverse else av):
         for j, cb in bv:
             if i + j >= length:
                 break
@@ -105,3 +105,21 @@ def test_kernel_matches_reference_on_placeholders_only(name):
                  (USeries.zero(spec), one)):
         got, want = x * y, reference_mul(x, y)
         assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_kernel_matches_both_fold_orders_below_label_0(name):
+    # a zero-at-precision label below 0 is kept as it is, so the fold
+    # gives the same coefficient whichever way round the terms are added
+    spec = SPECS[name]
+    rng = random.Random(f"{name}/below-0")
+    seen = 0
+    for _ in range(150):
+        x = random_series(rng, spec, -3)
+        y = random_series(rng, spec, -3)
+        got = x * y
+        for want in (reference_mul(x, y), reference_mul(x, y, reverse=True)):
+            assert got.cap == want.cap
+            assert got.coeffs == want.coeffs
+        seen += sum(c.absprec < 0 for c in got.coeffs)
+    assert seen > 0
