@@ -7,10 +7,11 @@ F_p by design.
 
 Three element flavours are provided:
 
-* OFExact   -- an exact element of F, held as a Fraction vector on the
-               basis 1, pi, ..., pi^(e_F-1).  No precision; used for master
-               data (lift coefficients, Eisenstein polynomials) and for the
-               symbolic Witt-polynomial construction.
+* OFExact   -- an exact element of F, held as integer coordinates on the
+               basis 1, pi, ..., pi^(e_F-1) over one common denominator.
+               No precision; used for master data (lift coefficients,
+               Eisenstein polynomials) and for the symbolic Witt-polynomial
+               construction and its ghost checks.
 * OFElement -- an integral element known modulo pi^prec.  Coefficient i of
                the basis vector is carried modulo p**ceil((prec-i)/e_F).
 * FElement  -- unit * pi^shift with an OFElement unit, covering F = O_F[1/p]
@@ -56,12 +57,6 @@ def _vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _vp_frac(q: Fraction, p: int) -> int | None:
-    if q == 0:
-        return None
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -164,53 +159,96 @@ def _fraction_in(v, path: str) -> Fraction:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _exact(spec: FieldSpec, num: tuple[int, ...], den: int) -> "OFExact":
+    """num/den in lowest terms: den > 0 and gcd(den, *num) = 1."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return OFExact(spec, num, den)
+
+
 @dataclass(frozen=True, slots=True)
 class OFExact:
-    """Exact element of F as Fractions on the basis 1, pi, ..., pi^(e_F-1)."""
+    """Exact element of F: integer coordinates num on the basis 1, pi, ...,
+    pi^(e_F-1) over one denominator den, in lowest terms (den > 0,
+    gcd(den, *num) = 1, so zero has den = 1); equality is value equality."""
 
     spec: FieldSpec
-    vec: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @classmethod
     def make(cls, spec: FieldSpec, coords) -> "OFExact":
-        if isinstance(coords, int):
-            coords = [coords]
-        vec = _reduce_poly(spec, [Fraction(c) for c in coords])
-        return cls(spec, tuple(Fraction(c) for c in vec))
+        """From an int or Fraction, or a list of them on 1, pi, pi^2, ...
+        (reduced mod g); any other coordinate type raises TypeError."""
+        coords = [coords] if isinstance(coords, (int, Fraction)) else list(coords)
+        den = 1
+        for c in coords:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"exact coordinates are int or Fraction, not {type(c).__name__}")
+            den = math.lcm(den, c.denominator)
+        num = _reduce_poly(spec, [c.numerator * (den // c.denominator)
+                                  for c in coords])
+        return _exact(spec, tuple(num), den)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "OFExact":
-        return cls.make(spec, [0])
+        return cls(spec, (0,) * spec.e_F)
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "OFExact":
-        return cls.make(spec, [1])
+        return cls(spec, (1,) + (0,) * (spec.e_F - 1))
 
     @classmethod
     def pi(cls, spec: FieldSpec) -> "OFExact":
-        return cls.make(spec, [0, 1])
+        if spec.e_F == 1:  # pi = -g_0
+            return cls(spec, (-spec.eisenstein[0],))
+        return cls(spec, (0, 1) + (0,) * (spec.e_F - 2))
+
+    @property
+    def vec(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other: "OFExact") -> "OFExact":
         _check_spec(self, other)
-        return OFExact(self.spec, tuple(a + b for a, b in zip(self.vec, other.vec)))
+        a, b = self.den, other.den
+        if a == 1 and b == 1:
+            return OFExact(self.spec, tuple(x + y for x, y in zip(self.num, other.num)))
+        num = tuple(x * b + y * a for x, y in zip(self.num, other.num))
+        return _exact(self.spec, num, a * b)
 
     def __sub__(self, other: "OFExact") -> "OFExact":
         _check_spec(self, other)
-        return OFExact(self.spec, tuple(a - b for a, b in zip(self.vec, other.vec)))
+        a, b = self.den, other.den
+        if a == 1 and b == 1:
+            return OFExact(self.spec, tuple(x - y for x, y in zip(self.num, other.num)))
+        num = tuple(x * b - y * a for x, y in zip(self.num, other.num))
+        return _exact(self.spec, num, a * b)
 
     def __neg__(self) -> "OFExact":
-        return OFExact(self.spec, tuple(-a for a in self.vec))
+        return OFExact(self.spec, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: "OFExact") -> "OFExact":
         _check_spec(self, other)
-        e = self.spec.e_F
-        conv = [Fraction(0)] * (2 * e - 1)
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        conv[i + j] += a * b
-        return OFExact(self.spec, tuple(_reduce_poly(self.spec, conv)))
+        spec = self.spec
+        a, b = self.num, other.num
+        if len(a) == 1:
+            num = (a[0] * b[0],)
+        else:
+            conv = [0] * (2 * len(a) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            conv[i + j] += x * y
+            num = tuple(_reduce_poly(spec, conv))
+        den = self.den * other.den
+        return OFExact(spec, num) if den == 1 else _exact(spec, num, den)
 
     def __pow__(self, n: int) -> "OFExact":
         if n < 0:
@@ -226,17 +264,20 @@ class OFExact:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
+        return not any(self.num)
 
     def val(self) -> int | None:
         """Exact v_F, None for zero."""
         e, p = self.spec.e_F, self.spec.p
-        vals = [e * _vp_frac(c, p) + i for i, c in enumerate(self.vec) if c != 0]
-        return min(vals) if vals else None
+        vals = [e * _vp_int(c, p) + i for i, c in enumerate(self.num) if c]
+        if not vals:
+            return None
+        return min(vals) - e * _vp_int(self.den, p)
 
     def is_integral(self) -> bool:
-        p = self.spec.p
-        return all(c == 0 or _vp_frac(c, p) >= 0 for c in self.vec)
+        # in lowest terms, p | den leaves some coordinate with a p in its
+        # denominator
+        return self.den % self.spec.p != 0
 
     def times_pi(self, k: int) -> "OFExact":
         """Multiply by pi^k for any integer k, exactly."""
@@ -246,7 +287,7 @@ class OFExact:
             return self * OFExact.pi(self.spec) ** k
         g, e = self.spec.eisenstein, self.spec.e_F
         # 1/pi = -(g_1 + g_2 pi + ... + pi^(e-1)) / g_0
-        inv_pi = OFExact.make(self.spec, [Fraction(-g[i + 1], g[0]) for i in range(e)])
+        inv_pi = _exact(self.spec, tuple(-g[i + 1] for i in range(e)), g[0])
         return self * inv_pi ** (-k)
 
     def inv(self) -> "OFExact":
@@ -285,16 +326,16 @@ class OFExact:
         """Image in the residue field F_p (element must be integral)."""
         if not self.is_integral():
             raise IntegralityError("residue of a non-integral element")
-        c = self.vec[0]
         p = self.spec.p
-        return c.numerator * pow(c.denominator, -1, p) % p
+        return self.num[0] * pow(self.den, -1, p) % p
 
     def to_json(self) -> str | list[str]:
         """The JSON form of exact data: an "a/b" string when e_F = 1, else
         one such string per coordinate."""
-        if len(self.vec) == 1:
-            return str(self.vec[0])
-        return [str(c) for c in self.vec]
+        vec = self.vec
+        if len(vec) == 1:
+            return str(vec[0])
+        return [str(c) for c in vec]
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj, path: str = "value") -> "OFExact":
@@ -310,14 +351,13 @@ class OFExact:
         if not self.is_integral():
             raise IntegralityError("cannot truncate a non-integral element")
         spec = self.spec
+        # coordinate 0 has the largest modulus, which every other divides
+        k0 = spec.coeff_modulus_exp(prec, 0)
+        inv = pow(self.den, -1, spec.p ** k0) if k0 else 0
         ints = []
-        for i, c in enumerate(self.vec):
+        for i, c in enumerate(self.num):
             k = spec.coeff_modulus_exp(prec, i)
-            if k:
-                m = spec.p ** k
-                ints.append(c.numerator * pow(c.denominator, -1, m) % m)
-            else:
-                ints.append(0)
+            ints.append(c * inv % spec.p ** k if k else 0)
         return OFElement(spec, max(prec, 0), tuple(ints))
 
 

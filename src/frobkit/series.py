@@ -45,7 +45,7 @@ def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
         return c
     if isinstance(c, OFElement):
         return FElement.make(c)
-    ex = c if isinstance(c, OFExact) else OFExact.make(spec, [Fraction(c)])
+    ex = c if isinstance(c, OFExact) else OFExact.make(spec, c)
     if ex.is_zero():
         return _exact_zero(spec)
     return FElement.from_exact(ex, absprec)
@@ -359,15 +359,8 @@ class FrobLift:
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs) -> "FrobLift":
-        ex = []
-        for c in coeffs:
-            if isinstance(c, OFExact):
-                ex.append(c)
-            elif isinstance(c, (int, Fraction)):
-                ex.append(OFExact.make(spec, [Fraction(c)]))
-            else:
-                ex.append(OFExact.make(spec, c))
-        return cls(spec, tuple(ex))
+        return cls(spec, tuple(c if isinstance(c, OFExact) else OFExact.make(spec, c)
+                               for c in coeffs))
 
     @property
     def a1(self) -> OFExact:
@@ -424,11 +417,8 @@ class EisensteinE:
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs) -> "EisensteinE":
-        ex = [
-            c if isinstance(c, OFExact) else OFExact.make(spec, [Fraction(c)])
-            for c in coeffs
-        ]
-        return cls(spec, tuple(ex))
+        return cls(spec, tuple(c if isinstance(c, OFExact) else OFExact.make(spec, c)
+                               for c in coeffs))
 
     @property
     def e0(self) -> int:

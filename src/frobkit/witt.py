@@ -199,8 +199,7 @@ def ghost_trials(spec: FieldSpec, n: int, trials: int, rng: random.Random) -> in
     ps = witt_polys(n, spec)  # integrality is enforced in construction
     good = 0
     for _ in range(trials):
-        pt = [OFExact.make(spec, [Fraction(rng.randint(-4, 4))
-                                  for _ in range(spec.e_F)])
+        pt = [OFExact.make(spec, [rng.randint(-4, 4) for _ in range(spec.e_F)])
               for _ in range(2 * n)]
         xs, ys = pt[:n], pt[n:]
         sums = [eval_poly_exact(ps.sums[m], pt, spec) for m in range(n)]

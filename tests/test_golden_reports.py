@@ -53,6 +53,26 @@ KISIN_GOLDEN = [
 ]
 
 
+# exact master data whose denominator is not 1, and the witt-ghost job at
+# length 4 over both bases; recorded before the integer exact layer
+EXACT_GOLDEN = [
+    (["witt-selftest", "--p", "3", "--base", "both", "--witt-len", "4",
+      "--trials", "4", "--seed", "11"],
+     "cf5710de52989fac447a69667b3ee2daf8533b7810d849881dceed1b9288f26f"),
+    (["fixedpoint", "--p", "3", "--f", '["3/2",0,1]', "--E", '["-3/2",1]'],
+     "04c990833a86a4e1043add366bf9520786ad68a086468fc4d114dcae24404241"),
+    (["fixedpoint", "--p", "3", "--base-g", "[-3,0,1]",
+      "--f", '[[0,"1/2"],0,1]', "--E", '[[0,"-1/2"],1]'],
+     "85bc51503c39dcb3d15094b3dbc164398895f1cb1be7e134102ec5ea13c2fdd6"),
+    (["kisin", "hypothesis", "--p", "3", "--f", '["3/2",0,1]',
+      "--E", '["-3/2",1]', "--N", "4"],
+     "4fa5794d864d9da64646716071f90238141c3edd5d30292a755afd34aaa5d141"),
+    (["intertwine", "--p", "3", "--f", '["3/2",0,1]',
+      "--f2", '["3/2","9/4",1]', "--M", "10", "--N", "6"],
+     "a4c4126530dc8cb2722a23a70a7a6958dda739c683269dc5bfc7eb1ece3f2c83"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
@@ -69,6 +89,16 @@ def test_readme_example_report_is_unchanged(capsys, argv, digest):
 @pytest.mark.parametrize("argv, digest", KISIN_GOLDEN,
                          ids=["height r=1", "height r=0", "fil1", "minheight"])
 def test_kisin_cli_report_is_unchanged(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", EXACT_GOLDEN,
+                         ids=["witt-selftest len4", "fixedpoint 3/2",
+                              "fixedpoint ramified 1/2", "hypothesis 3/2",
+                              "intertwine 9/4"])
+def test_exact_fraction_report_is_unchanged(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

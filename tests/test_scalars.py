@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobkit import (
     AtLeast,
+    EisensteinE,
     FElement,
     FieldSpec,
     NoRootError,
@@ -262,6 +265,125 @@ def test_exact_json_errors_name_the_path():
         OFExact.from_json(spec, [1, True], "f")
     with pytest.raises(ValueError, match=r"^c: "):
         OFExact.from_json(spec, "1/0", "c")
+
+
+# --- OFExact against the oracle -------------------------------------------
+
+def exact_coords(p):
+    """Fraction coordinate lists; each denominator is 1, prime to p, or
+    divisible by p."""
+    den = st.one_of(st.just(1),
+                    st.integers(2, 40).filter(lambda d: d % p),
+                    st.integers(1, 40).map(lambda d: d * p))
+    return st.lists(st.builds(Fraction, st.integers(-400, 400), den),
+                    min_size=1, max_size=5)
+
+
+def exact_of(spec, coords):
+    """OFExact.make, with the lowest-terms form checked on the way."""
+    x = OFExact.make(spec, coords)
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == spec.e_F
+    assert x.vec == tuple(oracle_reduce(spec, coords))
+    return x
+
+
+def oracle_pow(spec, a, k):
+    out = oracle_reduce(spec, [1])
+    for _ in range(k):
+        out = oracle_mul(spec, out, a)
+    return out
+
+
+def padded_op(spec, a, b, op):
+    width = max(len(a), len(b))
+    pad = lambda v: list(v) + [Fraction(0)] * (width - len(v))
+    return oracle_reduce(spec, [op(x, y) for x, y in zip(pad(a), pad(b))])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_arithmetic_matches_oracle(spec, data):
+    a = data.draw(exact_coords(spec.p))
+    b = data.draw(exact_coords(spec.p))
+    k = data.draw(st.integers(0, 12))
+    x, y = exact_of(spec, a), exact_of(spec, b)
+    ra, rb = oracle_reduce(spec, a), oracle_reduce(spec, b)
+    for got, want in (
+        (x + y, padded_op(spec, a, b, lambda u, v: u + v)),
+        (x - y, padded_op(spec, a, b, lambda u, v: u - v)),
+        (-x, [-c for c in ra]),
+        (x * y, oracle_mul(spec, ra, rb)),
+        (x ** k, oracle_pow(spec, ra, k)),
+    ):
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+        assert got.vec == tuple(want)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_times_pi_matches_oracle(spec, data):
+    a = data.draw(exact_coords(spec.p))
+    k = data.draw(st.integers(-4, 4))
+    x = exact_of(spec, a)
+    pi_k = oracle_pow(spec, [0, 1], abs(k))
+    got = x.times_pi(k)
+    if k >= 0:
+        assert got.vec == tuple(oracle_mul(spec, oracle_reduce(spec, a), pi_k))
+    else:  # pi^|k| times the result gives x back
+        assert tuple(oracle_mul(spec, got.vec, pi_k)) == x.vec
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_queries_match_oracle(spec, data):
+    a = data.draw(exact_coords(spec.p))
+    prec = data.draw(st.integers(0, 12))
+    x = exact_of(spec, a)
+    ra = oracle_reduce(spec, a)
+    assert x.val() == oracle_val(spec, ra)
+    integral = all(c == 0 or oracle_vp(c, spec.p) >= 0 for c in ra)
+    assert x.is_integral() == integral
+    if integral:
+        c0 = ra[0]
+        assert x.residue() == c0.numerator * pow(c0.denominator, -1, spec.p) % spec.p
+        el = x.at_prec(prec)
+        assert el.prec == prec
+        agree_mod(spec, el.vec, ra, prec)
+    assert OFExact.from_json(spec, x.to_json()) == x
+    if not x.is_zero():
+        assert x * x.inv() == OFExact.one(spec)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_exact_equality_is_value_equality(spec):
+    half = OFExact.make(spec, [Fraction(1, 2)])
+    assert OFExact.make(spec, [Fraction(2, 4)]) == half
+    assert hash(OFExact.make(spec, [Fraction(2, 4)])) == hash(half)
+    assert OFExact.make(spec, Fraction(1, 2)) == half  # a scalar Fraction
+    zero = OFExact.zero(spec)
+    # g / 7 reduces to 0; x - x for x over 7 cancels
+    via_g = OFExact.make(spec, [Fraction(c, 7) for c in spec.eisenstein])
+    x = OFExact.make(spec, [Fraction(3, 7)] * spec.e_F)
+    for z in (via_g, x - x, x + (-x), x * zero):
+        assert z == zero and hash(z) == hash(zero) and z.den == 1
+        assert z.is_zero() and z.val() is None
+
+
+def test_exact_make_rejects_inexact_coordinates():
+    spec = qp_spec(3)
+    with pytest.raises(TypeError):
+        OFExact.make(spec, [0.1])
+    with pytest.raises(TypeError):
+        OFExact.make(spec, 0.5)
+    with pytest.raises(TypeError):
+        OFExact.make(spec, [1, True])
+    with pytest.raises(TypeError):
+        EisensteinE.make(spec, [-3.0, True])
 
 
 @pytest.mark.parametrize("spec", SPECS)

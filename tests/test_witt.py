@@ -6,6 +6,8 @@ meaningful; vector arithmetic over the perfected residue model is then
 checked against the symbolic layer and on frozen examples.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -134,6 +136,33 @@ def test_ghost_homomorphism_on_random_points(spec, n):
         for m in range(n):
             assert gs[m] == gx[m] + gy[m]
             assert gp[m] == gx[m] * gy[m]
+
+
+# sha256 over (key, coefficient to_json) of S_0..S_{n-1} then P_0..P_{n-1},
+# keys in sorted order; recorded before the integer exact layer
+POLY_DIGESTS = {
+    (Q3, 1): "6b1ebc70f6508a9f26cde760276c5852ec96db4d9c53892fa0daf2f5b7b103a8",
+    (Q3, 2): "efd440374e2cb0a892cab3561755f820fceae60ac5e2c8290bc13862f00e9ca2",
+    (Q3, 3): "fb7ab8bba5b8bd71fd39aa963f7c0da1930cb00d1fdadc83084e5517c15038f4",
+    (Q3, 4): "e8922a779b267efa2ec39e3bd8cccd7aea5db434cb291e8f953dfb05543708c6",
+    (RAM3, 1): "5bf6a6446f13bea971dc7defaebc8d1b67b467d90856b7257a3998860e20f16b",
+    (RAM3, 2): "083e6e3347e23f0e42d1cd1b2bc6f36a8a232d8374c95cc8a354d7004ef87ba4",
+    (RAM3, 3): "58b40fa3bcbdedd29dc316983959e1e2b28b224b0b31c5e0cd3e87141e5d36c1",
+    (RAM3, 4): "6229a2ddd71c4dedb96dd8822535fdfd9335fe38b85886ec77614d1bf8146a8e",
+}
+
+
+@pytest.mark.parametrize("spec, n", list(POLY_DIGESTS),
+                         ids=[f"{'Z3' if s is Q3 else 'Z3pi'}-{n}"
+                              for s, n in POLY_DIGESTS])
+def test_witt_polys_are_pinned(spec, n):
+    ps = witt_polys(n, spec)
+    h = hashlib.sha256()
+    for polys in (ps.sums, ps.prods):
+        for poly in polys:
+            for key in sorted(poly):
+                h.update(json.dumps([list(key), poly[key].to_json()]).encode())
+    assert h.hexdigest() == POLY_DIGESTS[(spec, n)]
 
 
 def test_integrality_holds_for_all_specs():
