@@ -35,7 +35,7 @@ from .kisin import (
     verify_height,
     xi_iterate,
 )
-from .scalars import DEFAULT_PREC, FieldSpec, OFExact, _fraction_in, qp_spec
+from .scalars import DEFAULT_PREC, FieldSpec, OFExact, _fraction_in, field_spec, qp_spec
 from .series import (
     PRESET_NAMES,
     EisensteinE,
@@ -130,7 +130,7 @@ def _field(args, cfg: dict) -> FieldSpec:
         for i, c in enumerate(coeffs):
             if c.denominator != 1:
                 raise ValueError(f"config.field.g[{i}]: expected an integer")
-        return FieldSpec(p, tuple(int(c) for c in coeffs))
+        return field_spec(p, tuple(int(c) for c in coeffs))
     except ValueError as exc:
         raise ConfigError(f"config.field.g: {exc}") from None
 
@@ -321,7 +321,7 @@ def _cmd_witt_selftest(args, filecfg: dict):
     if base in ("qp", "both"):
         specs.append(spec0)
     if base in ("ramified", "both"):
-        specs.append(FieldSpec(spec0.p, (-spec0.p, 0, 1)))
+        specs.append(field_spec(spec0.p, (-spec0.p, 0, 1)))
     rng = random.Random(seed)
     checks = []
     for spec in specs:

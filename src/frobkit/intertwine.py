@@ -7,6 +7,12 @@ one); every later coefficient comes from dividing the current residual
 coefficient by an explicit nonzero divisor, so the precision loss per
 degree is a known constant and the starting precision can be budgeted up
 front.
+
+The solver never composes series.  One table of the powers of f2 and the
+columns of the powers xi^2..xi^p, extended online as each coefficient of
+xi lands, give the residual coefficient of each degree d in O(p*s*d) scalar
+operations, so a whole solve is quadratic in M.  The verifier stays on
+direct composition as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from dataclasses import dataclass
 
 from .errors import PrecisionError, SpecMismatchError
 from .scalars import DEFAULT_PREC, FElement, OFExact, of_root
-from .series import FrobLift, USeries, _as_felement, s_compose
+from .series import (
+    _EXACT_ZERO_PREC,
+    FrobLift,
+    USeries,
+    _as_felement,
+    _exact_zero,
+    s_compose,
+)
 
 
 @dataclass(frozen=True)
@@ -115,10 +128,22 @@ class IntertwineResult:
         }
 
 
-def _residual(fs: USeries, f2s: USeries, xi: USeries, length: int) -> USeries:
-    lhs = s_compose(fs, xi).truncate(length)
-    rhs = s_compose(xi, f2s).truncate(length)
-    return lhs - rhs
+def _dot(xs, ys) -> FElement | None:
+    """sum x_k * y_k over the pairs with no exact zero (None) in them, as a
+    series product sums its terms; None when no pair is left."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            t = x * y
+            acc = t if acc is None else acc + t
+    return acc
+
+
+def _live(c: FElement) -> FElement | None:
+    """c, or None for an exact zero."""
+    if c.absprec >= _EXACT_ZERO_PREC and c.is_zero_at_prec():
+        return None
+    return c
 
 
 def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
@@ -130,6 +155,19 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     N + M*loss and the result still carries N digits.  The residual
     coefficient must vanish mod pi before each division; a visibly
     non-vanishing one means the inputs violate the compatibility theorem.
+
+    The residual coefficient n = d+s-1 of f(xi) - xi(f2) is read off two
+    tables instead of two compositions.  xi(f2) gives the dot product of
+    xi_1..xi_{d-1} with coefficient n of f2^1..f2^(d-1), from one table of
+    powers of f2 cut at u^(M+s), built with M-2 series products.  f(xi)
+    gives sum_i a_i [xi^i]_n; the columns [xi^i]_m, i = 2..p, grow by one
+    entry per degree, [xi^i]_m = sum_j xi_j [xi^(i-1)]_(m-j), and the s
+    entries m = d..n that still depend on xi_d or later are formed with
+    those coefficients zero and dropped again.  Each degree therefore
+    costs O(p*s*d) scalar operations (online multiplication, van der
+    Hoeven 2002).  Every term the compositions would sum, the zero-at-
+    precision constant term of xi included, enters the same sums, so the
+    labels and digits are those of the compositions.
     """
     spec = f.spec
     s = _common_degree(f, f2)
@@ -142,18 +180,36 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     if mu0.is_zero_at_prec() or mu0.vlow() != 0:
         raise ValueError("mu0 must be a unit")
 
-    fs = f.as_series(absprec=n_start)
-    f2s = f2.as_series(absprec=n_start)
+    a = [_live(c) for c in f.as_series(absprec=n_start).coeffs[2:]]  # a_2..a_p
+    f2s = f2.as_series(absprec=n_start).truncate(M + s)
+    powers = [f2s]
+    for _ in range(2, M):
+        powers.append((powers[-1] * f2s).truncate(M + s))
+    # by_n[n][k - 1] = [f2^k]_n
+    by_n = list(zip(*([_live(c) for c in pw.coeffs] for pw in powers)))
 
-    coeffs: list = [FElement.zero_at(spec, n_start), mu0]
+    xi: list = [FElement.zero_at(spec, n_start), mu0]
+    cols: list[list] = [[] for _ in range(2, spec.p + 1)]  # [xi^i]_m, m < d
+    exact_zero = _exact_zero(spec)
     losses: list[int] = []
     if s > 1:
         s_el = OFExact.make(spec, s)
         base = FElement.from_exact(s_el * a_s, n_start)
         div_const = base * mu0 ** (s - 1)
     for d in range(2, M + 1):
-        xi = USeries.make(spec, coeffs, absprec=n_start)
-        lam = _residual(fs, f2s, xi, d + s).coeff(d + s - 1)
+        n = d + s - 1
+        # [xi^(i-1)]_m for m <= n with xi_m = 0 for m >= d, from i = 2 on
+        prev = xi + [None] * s
+        at_n = []  # [xi^i]_n, i = 2..p
+        for col in cols:
+            # entries below d are final; those from d to n are formed anew
+            col.extend(_dot(xi, prev[m::-1]) for m in range(len(col), d))
+            prev = col + [_dot(xi, prev[m:m - d:-1]) for m in range(d, n + 1)]
+            at_n.append(prev[n])
+        lhs = _dot(a, at_n)
+        rhs = _dot(xi[1:], by_n[n])
+        lam = ((exact_zero if lhs is None else lhs)
+               - (exact_zero if rhs is None else rhs))
         if s == 1:
             div = FElement.from_exact(f.coeffs[0] - f2.coeffs[0] ** d, n_start)
         else:
@@ -169,16 +225,15 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
                 f"precision exhausted at degree {d}"
             ) from exc
         losses.append(div.vlow())
-        coeffs.append(mu_d)
-    xi = USeries.make(spec, coeffs, absprec=n_start)
-    integral = all(c.is_integral() for c in coeffs)
+        xi.append(mu_d)
+    integral = all(c.is_integral() for c in xi)
     if a_s.val() == 1 and not integral:
         raise AssertionError(
             "theorem violated: v(a_s) = v(pi) guarantees an integral xi"
         )
-    achieved = min((c.absprec for c in coeffs[1:]), default=n_start)
-    return IntertwineResult(xi, mu0, s, integral, (M, min(N, achieved)),
-                            tuple(losses))
+    achieved = min((c.absprec for c in xi[1:]), default=n_start)
+    return IntertwineResult(USeries.make(spec, xi, absprec=n_start), mu0, s,
+                            integral, (M, min(N, achieved)), tuple(losses))
 
 
 def solve_intertwiner_all(f: FrobLift, f2: FrobLift, M: int,
@@ -191,11 +246,19 @@ def solve_intertwiner_all(f: FrobLift, f2: FrobLift, M: int,
 
 def verify_intertwine(f: FrobLift, f2: FrobLift, xi: USeries,
                       M: int, N: int) -> bool:
-    """Direct-composition oracle: f(xi) - xi(f2) = 0 mod (x^M, pi^N)."""
+    """Direct-composition oracle: f(xi) - xi(f2) = 0 mod (x^M, pi^N).
+
+    Both sides come from s_compose, never from the solver's power table
+    or xi-power columns, so a fault in those cannot vouch for itself.
+    A coefficient below M only sees coefficients below M, so xi and f2 are
+    cut at M before composing.
+    """
     if not xi.coeff(0).is_zero_at_prec():
         raise ValueError("xi must vanish at 0")
-    diff = _residual(f.as_series(absprec=N + 2), f2.as_series(absprec=N + 2),
-                     xi, M)
+    xi = xi.truncate(M)
+    lhs = s_compose(f.as_series(absprec=N + 2), xi).truncate(M)
+    rhs = s_compose(xi, f2.as_series(absprec=N + 2).truncate(M)).truncate(M)
+    diff = lhs - rhs
     for k in range(M):
         c = diff.coeff(k)
         capped = c.cap_absprec(N)

@@ -107,9 +107,17 @@ class FieldSpec:
         return -((i - prec) // self.e_F)  # ceil((prec - i)/e_F)
 
 
+@lru_cache(maxsize=None)
+def field_spec(p: int, eisenstein: tuple[int, ...]) -> FieldSpec:
+    """The FieldSpec of (p, g), one object per pair: elements over specs
+    made here pass _check_spec by identity, and caches keyed on the spec
+    (witt_polys) hand back coefficients over the very same object."""
+    return FieldSpec(p, eisenstein)
+
+
 def qp_spec(p: int) -> FieldSpec:
     """F = Q_p itself, with pi = p (g = x - p)."""
-    return FieldSpec(p, (-p, 1))
+    return field_spec(p, (-p, 1))
 
 
 def _check_spec(a, b) -> None:
@@ -540,14 +548,35 @@ class OFElement:
 
     def digits(self) -> tuple[int, ...]:
         """Base-pi digit expansion d_0..d_{prec-1}, each in 0..p-1."""
+        prec = self.prec
         if self.is_zero_at_prec():
-            return (0,) * self.prec
+            return (0,) * prec
+        spec = self.spec
+        p, e, g = spec.p, spec.e_F, spec.eisenstein
+        w = g[0] // p  # p-adic unit with g_0 = p*w
         out = []
-        cur = self
-        for _ in range(self.prec):
-            d = cur.residue()
+        if e == 1:
+            # pi = p*(-w): strip a digit, divide by p, then by the unit -w;
+            # c is only ever read mod p^(digits left), so mod p^prec is enough
+            c, mod = self.vec[0], _pk(p, prec)
+            inv = pow(-w, -1, mod)
+            for _ in range(prec):
+                c, d = divmod(c, p)
+                out.append(d)
+                if inv != 1:
+                    c = c * inv % mod
+            return tuple(out)
+        # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
+        # once c_0 = p*w*t, as in div_pi
+        vec = list(self.vec)
+        w_inv = pow(w, -1, _pk(p, spec.coeff_modulus_exp(prec, 0)))
+        for left in range(prec - 1, -1, -1):
+            d = vec[0] % p
             out.append(d)
-            cur = (cur - OFElement.from_int(self.spec, d, cur.prec)).div_pi(1)
+            t = (vec[0] - d) // p * w_inv
+            vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
+            vec = [c % _pk(p, spec.coeff_modulus_exp(left, i))
+                   for i, c in enumerate(vec)]
         return tuple(out)
 
     def to_json(self) -> dict:

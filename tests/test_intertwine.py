@@ -8,22 +8,70 @@ arithmetic involved beyond reading off coefficients.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkit.errors import NoRootError, PrecisionError, SpecMismatchError
 from frobkit.intertwine import (
+    IntertwineResult,
+    _common_degree,
+    _start_prec,
     check_compatible,
     compute_mu0,
     solve_intertwiner,
     solve_intertwiner_all,
     verify_intertwine,
 )
-from frobkit.scalars import FElement, FieldSpec, qp_spec
-from frobkit.series import FrobLift, USeries, frob_preset, s_compose
+from frobkit.scalars import FElement, FieldSpec, OFExact, qp_spec
+from frobkit.series import FrobLift, USeries, _as_felement, frob_preset, s_compose
 
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
 
 CYC3 = frob_preset(Q3, "cyclotomic")  # (1+u)^3 - 1 = u^3 + 3u^2 + 3u
+
+
+def reference_solve(f, f2, mu0, M, N):
+    """The solver loop before the power table and the xi-power columns:
+    at every degree d, rebuild xi and read coefficient d+s-1 of the two
+    full compositions f(xi) and xi(f2)."""
+    spec = f.spec
+    s = _common_degree(f, f2)
+    a_s = f.coeffs[s - 1]
+    n_start = _start_prec(f, M, N)
+    mu0 = _as_felement(spec, mu0, n_start)
+    if mu0.is_zero_at_prec() or mu0.vlow() != 0:
+        raise ValueError("mu0 must be a unit")
+    fs = f.as_series(absprec=n_start)
+    f2s = f2.as_series(absprec=n_start)
+    coeffs = [FElement.zero_at(spec, n_start), mu0]
+    losses = []
+    if s > 1:
+        base = FElement.from_exact(OFExact.make(spec, s) * a_s, n_start)
+        div_const = base * mu0 ** (s - 1)
+    for d in range(2, M + 1):
+        xi = USeries.make(spec, coeffs, absprec=n_start)
+        length = d + s
+        lhs = s_compose(fs, xi).truncate(length)
+        rhs = s_compose(xi, f2s).truncate(length)
+        lam = (lhs - rhs).coeff(d + s - 1)
+        if s == 1:
+            div = FElement.from_exact(f.coeffs[0] - f2.coeffs[0] ** d, n_start)
+        else:
+            div = div_const
+        if not lam.is_zero_at_prec() and lam.vlow() < 1:
+            raise SpecMismatchError(
+                f"internal inconsistency: residual at degree {d} is a unit")
+        try:
+            mu_d = -(lam / div)
+        except PrecisionError as exc:
+            raise PrecisionError(f"precision exhausted at degree {d}") from exc
+        losses.append(div.vlow())
+        coeffs.append(mu_d)
+    achieved = min(c.absprec for c in coeffs[1:])
+    return IntertwineResult(USeries.make(spec, coeffs, absprec=n_start), mu0, s,
+                            all(c.is_integral() for c in coeffs),
+                            (M, min(N, achieved)), tuple(losses))
 
 
 def ints_of(xs: USeries, m: int, n_prec: int) -> list:
@@ -277,3 +325,91 @@ def test_result_report_shape():
     assert data["verified_to"] == {"M": 6, "N": 6}
     assert data["mu0"] == res.mu0.to_json()
     assert data["xi"] == res.xi.to_json()
+
+
+# ------------------------------------------------- against the reference loop
+
+SPECS = {
+    "Z3": Q3,
+    "Z5": Q5,
+    "Z3-6": FieldSpec(3, (6, 1)),  # e_F = 1 with pi = -6, not p
+    "Z3pi": FieldSpec(3, (-3, 0, 1)),  # pi^2 = 3
+}
+
+
+def unit_of(draw, spec):
+    coords = draw(st.lists(st.integers(-40, 40), min_size=spec.e_F,
+                           max_size=spec.e_F))
+    coords[0] = draw(st.integers(1, 40).filter(lambda c: c % spec.p))
+    return OFExact.make(spec, coords)
+
+
+@st.composite
+def compatible_pairs(draw, spec, s):
+    """Lifts f, f2 whose lowest terms sit in degree s with one valuation
+    (1 mostly, 2 at times, where xi need not be integral); equal linear
+    terms when s = 1; the terms above degree s drawn independently."""
+    pi = OFExact.pi(spec)
+    v = draw(st.sampled_from((1, 1, 1, 2)))
+
+    def lift(lead):
+        upper = [unit_of(draw, spec) * pi ** draw(st.integers(1, 2))
+                 if draw(st.booleans()) else OFExact.zero(spec)
+                 for _ in range(s + 1, spec.p)]
+        return FrobLift.make(spec, [0] * (s - 1) + [lead, *upper, 1])
+
+    lead = unit_of(draw, spec) * pi ** v
+    return lift(lead), lift(lead if s == 1 else unit_of(draw, spec) * pi ** v)
+
+
+def mu0_candidates(draw, f, f2, s, M, N):
+    if s == 1:
+        return [draw(st.integers(-20, 20).filter(lambda c: c % f.spec.p))]
+    return compute_mu0(f, f2, prec=_start_prec(f, M, N))
+
+
+def outcome(solve, f, f2, mu0, M, N):
+    """Every digit and label of a solve, or the error it raised."""
+    try:
+        res = solve(f, f2, mu0, M, N)
+    except (PrecisionError, SpecMismatchError) as exc:
+        return type(exc), str(exc)
+    return ([(c.unit.prec, c.unit.vec, c.shift) for c in res.xi.coeffs],
+            res.xi.cap, res.losses, res.verified_to, res.integral, res.mu0)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_solver_matches_reference_loop(name, s, data):
+    spec = SPECS[name]
+    f, f2 = data.draw(compatible_pairs(spec, s))
+    M = data.draw(st.integers(2, 20))
+    N = data.draw(st.integers(1, 20))
+    for mu0 in mu0_candidates(data.draw, f, f2, s, M, N):
+        assert outcome(solve_intertwiner, f, f2, mu0, M, N) == \
+            outcome(reference_solve, f, f2, mu0, M, N)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_raising_M_or_N_never_lowers_a_label(name, s, data):
+    spec = SPECS[name]
+    f, f2 = data.draw(compatible_pairs(spec, s))
+    M = data.draw(st.integers(2, 20))
+    N = data.draw(st.integers(1, 20))
+    M2 = M + data.draw(st.integers(0, 6))
+    N2 = N + data.draw(st.integers(0, 6))
+    choice = data.draw(st.integers(1, 20).filter(lambda c: c % spec.p)) \
+        if s == 1 else None
+    try:
+        lo = solve_intertwiner_all(f, f2, M, N, choice=choice)
+        hi = solve_intertwiner_all(f, f2, M2, N2, choice=choice)
+    except (PrecisionError, SpecMismatchError):
+        return
+    for a, b in zip(lo, hi, strict=True):
+        for k in range(1, M + 1):
+            assert b.xi.coeff(k).absprec >= a.xi.coeff(k).absprec

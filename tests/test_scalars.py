@@ -21,7 +21,7 @@ from frobkit import (
     of_val,
     qp_spec,
 )
-from frobkit.scalars import OFExact, _pk
+from frobkit.scalars import OFExact, _pk, field_spec
 
 # Oracle: schoolbook rational-polynomial arithmetic mod g, written bottom-up
 # so it shares no code path with the package reduction.
@@ -247,6 +247,41 @@ def test_digits_roundtrip(spec, a):
     back = OFElement.from_json(spec, el.to_json())
     assert back == el
     assert all(0 <= d < spec.p for d in el.digits())
+
+
+def test_field_spec_is_one_object_per_pair():
+    # elements over interned specs pass _check_spec by identity, and
+    # witt_polys, cached on the spec, returns them over the same object
+    assert field_spec(3, (-3, 0, 1)) is field_spec(3, (-3, 0, 1))
+    assert qp_spec(5) is qp_spec(5) is field_spec(5, (-5, 1))
+    assert field_spec(3, (6, 1)) == FieldSpec(3, (6, 1))
+
+
+def reference_digits(el: OFElement) -> tuple[int, ...]:
+    """The digit loop before the int version: strip the residue as an
+    OFElement and divide by pi with div_pi, once per digit."""
+    if el.is_zero_at_prec():
+        return (0,) * el.prec
+    out = []
+    cur = el
+    for _ in range(el.prec):
+        d = cur.residue()
+        out.append(d)
+        cur = (cur - OFElement.from_int(el.spec, d, cur.prec)).div_pi(1)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(a=st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=5),
+       prec=st.integers(0, 70), k=st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_digits_match_reference_loop(spec, a, prec, k):
+    el = OFElement.from_coords(spec, a, prec).shift_pi(k)
+    want = list(reference_digits(el))
+    assert list(el.digits()) == want
+    while want and want[-1] == 0:
+        want.pop()
+    assert el.to_json() == {"digits": want, "prec": el.prec}
 
 
 @pytest.mark.parametrize("spec", SPECS)
