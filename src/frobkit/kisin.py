@@ -319,14 +319,6 @@ def _xp_pow(base: list, k: int, spec: FieldSpec) -> list:
     return acc
 
 
-def _xp_eq(a: list, b: list, spec: FieldSpec) -> bool:
-    z = OFExact.zero(spec)
-    n = max(len(a), len(b))
-    pa = a + [z] * (n - len(a))
-    pb = b + [z] * (n - len(b))
-    return all(x == y for x, y in zip(pa, pb))
-
-
 # --- the scalar obstruction scan ---------------------------------------------
 
 
@@ -342,26 +334,32 @@ class HypothesisResult:
 def hypothesis_check(f: FrobLift, E: EisensteinE, N: int) -> HypothesisResult | None:
     """Smallest n <= N with phi^n(f/u) = E^k as an exact identity.
 
-    Degrees force k = (p-1)p^n / e0, so only that power is a candidate.
-    The constant term of phi^n(f/u) is a_1 for every n, while E^k(0) is
-    nonzero: a_1 = 0 settles the scan negatively without iterating.
+    At most one level is a candidate, so only that one is composed.  The
+    constant term of phi^n(f/u) is a_1 for every n, and E^k(0) = E(0)^k
+    has valuation k because EisensteinE enforces v(E(0)) = 1: so
+    k = v(a_1), and a_1 = 0 settles the scan negatively.  Degrees force
+    (p-1)p^n = e0*k, which fixes n.  At that n both sides are monic of
+    degree (p-1)p^n, so their coefficient lists compare directly.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     spec = f.spec
     if f.a1.is_zero():
         return None
+    k = f.a1.val()
+    q, rem = divmod(E.e0 * k, spec.p - 1)
+    n = 0
+    while q > 1 and q % spec.p == 0:
+        q //= spec.p
+        n += 1
+    if rem or q != 1 or n > N:
+        return None
     fpoly = [OFExact.zero(spec), *f.coeffs]
     g = list(f.coeffs)
-    va1 = f.a1.val()
-    vc0 = E.c0.val()
-    for n in range(N + 1):
-        if n:
-            g = _xp_compose(g, fpoly, spec)
-        k, rem = divmod((spec.p - 1) * spec.p**n, E.e0)
-        if rem == 0 and va1 == k * vc0:
-            if _xp_eq(g, _xp_pow(list(E.coeffs), k, spec), spec):
-                return HypothesisResult(n, k)
+    for _ in range(n):
+        g = _xp_compose(g, fpoly, spec)
+    if g == _xp_pow(list(E.coeffs), k, spec):
+        return HypothesisResult(n, k)
     return None
 
 
@@ -387,17 +385,13 @@ def check_counterexample(f: FrobLift, E: EisensteinE, A: USeries, l: int) -> boo
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    lhs = A * _xp_series(f.spec, _xp_pow(list(E.coeffs), l, f.spec))
+    lhs = A * USeries.make(f.spec, _xp_pow(list(E.coeffs), l, f.spec))
     diff = lhs - frobenius(A, f)
     if not diff.is_zero_at_prec():
         return False
     if any(c.absprec < 1 for c in diff.coeffs):
         raise IndeterminateError("identity check ran out of precision")
     return True
-
-
-def _xp_series(spec: FieldSpec, coeffs: list, absprec: int = DEFAULT_PREC) -> USeries:
-    return USeries.make(spec, coeffs, absprec=absprec)
 
 
 def counterexample_module(f: FrobLift, E: EisensteinE, n: int,
@@ -425,12 +419,12 @@ def counterexample_module(f: FrobLift, E: EisensteinE, n: int,
     El = _xp_pow(list(E.coeffs), l, spec)
     lhs = _xp_mul(acc, El, spec)
     rhs = _xp_compose(acc, fpoly, spec)
-    if not _xp_eq(lhs, rhs, spec):
+    if lhs != rhs:
         raise SpecMismatchError(
             f"A*E^{l} = phi(A) fails: (n, l) = ({n}, {l}) is not a witness"
         )
-    A = _xp_series(spec, acc, absprec)
-    module = KisinModule.make(f, E, l, [[_xp_series(spec, El, absprec)]])
+    A = USeries.make(spec, acc, absprec=absprec)
+    module = KisinModule.make(f, E, l, [[USeries.make(spec, El, absprec=absprec)]])
     ambient = KisinModule.make(f, E, l, [[1]], absprec=absprec)
     return CounterexampleWitness(A, l, module, ambient)
 

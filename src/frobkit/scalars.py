@@ -141,20 +141,13 @@ def _reduce_poly(spec: FieldSpec, vec: list) -> list:
     return vec
 
 
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    """Quotient/remainder of Fraction coefficient lists, b nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for d in range(len(a) - 1, db - 1, -1):
-        c = a[d] / lb
-        if c:
-            q[d - db] = c
-            for i in range(db + 1):
-                a[d - db + i] -= c * b[i]
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
+def _det(M: list) -> int:
+    """Determinant of a square int matrix, by Laplace expansion on row 0
+    (1 for the empty matrix)."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
 
 
 def _fraction_in(v, path: str) -> Fraction:
@@ -231,12 +224,7 @@ class OFExact:
         return _exact(self.spec, num, a * b)
 
     def __sub__(self, other: "OFExact") -> "OFExact":
-        _check_spec(self, other)
-        a, b = self.den, other.den
-        if a == 1 and b == 1:
-            return OFExact(self.spec, tuple(x - y for x, y in zip(self.num, other.num)))
-        num = tuple(x * b - y * a for x, y in zip(self.num, other.num))
-        return _exact(self.spec, num, a * b)
+        return self + (-other)
 
     def __neg__(self) -> "OFExact":
         return OFExact(self.spec, tuple(-c for c in self.num), self.den)
@@ -299,33 +287,17 @@ class OFExact:
         return self * inv_pi ** (-k)
 
     def inv(self) -> "OFExact":
+        """Cramer's rule over Z: M is the matrix of multiplication by num on
+        1, pi, ..., pi^(e_F-1), column j being num*pi^j, and
+        1/(num/den) = den * adj(M) e_0 / det(M).  Minors are taken on the
+        columns as rows, which leaves every determinant unchanged."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g = [Fraction(c) for c in self.spec.eisenstein]
-        # extended Euclid over Q[x]: s*a + t*g = constant (g is irreducible)
-        r0 = g
-        r1 = list(self.vec)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        qs1[i + j] += a * b
-            width = max(len(s0), len(qs1))
-            s_new = [
-                (s0[i] if i < len(s0) else Fraction(0))
-                - (qs1[i] if i < len(qs1) else Fraction(0))
-                for i in range(width)
-            ]
-            r0, r1, s0, s1 = r1, r, s1, s_new
-        c = r1[0]
-        if c == 0:
-            raise ZeroDivisionError("element not invertible")
-        return OFExact.make(self.spec, [x / c for x in s1])
+        spec = self.spec
+        cols = [_reduce_poly(spec, [0] * j + list(self.num)) for j in range(spec.e_F)]
+        adj0 = [(-1) ** i * _det([c[1:] for j, c in enumerate(cols) if j != i])
+                for i in range(len(cols))]
+        return _exact(spec, tuple(self.den * c for c in adj0), _det(cols))
 
     def __truediv__(self, other: "OFExact") -> "OFExact":
         return self * other.inv()

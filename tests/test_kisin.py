@@ -15,12 +15,15 @@ from fractions import Fraction
 import pytest
 
 import frobkit as fk
+import frobkit.kisin as kisin
 from frobkit import (
     AtLeast,
     EisensteinE,
+    FieldSpec,
     FrobLift,
     IndeterminateError,
     KisinModule,
+    OFExact,
     SpecMismatchError,
     USeries,
     check_counterexample,
@@ -396,6 +399,140 @@ def test_hypothesis_json_shape():
     res = hypothesis_check(frob_preset(Q3, "cyclotomic"),
                            eisenstein_preset(Q3, "cyclotomic"), 2)
     assert res.to_json() == {"found": True, "n": 0, "k": 1}
+
+
+def reference_scan(f, E, N):
+    """The level-by-level scan hypothesis_check ran before it computed its
+    one candidate level: phi^n(f/u) is composed at every n <= N and
+    compared, padded to one length, with E^k wherever degrees and
+    constant-term valuations allow."""
+    spec = f.spec
+    if f.a1.is_zero():
+        return None
+    z = OFExact.zero(spec)
+    fpoly = [z, *f.coeffs]
+    g = list(f.coeffs)
+    va1, vc0 = f.a1.val(), E.c0.val()
+    for n in range(N + 1):
+        if n:
+            g = kisin._xp_compose(g, fpoly, spec)
+        k, rem = divmod((spec.p - 1) * spec.p**n, E.e0)
+        if rem == 0 and va1 == k * vc0:
+            Ek = kisin._xp_pow(list(E.coeffs), k, spec)
+            width = max(len(g), len(Ek))
+            if g + [z] * (width - len(g)) == Ek + [z] * (width - len(Ek)):
+                return kisin.HypothesisResult(n, k)
+    return None
+
+
+SCAN_SPECS = {
+    "Z3": Q3,
+    "Z5": Q5,
+    "Z3-6": FieldSpec(3, (6, 1)),  # e_F = 1 with pi = -6, not p
+    "Z3pi": FieldSpec(3, (-3, 0, 1)),  # pi^2 = 3
+}
+PRESETS = ("classical", "cyclotomic", "lubin-tate", "twisted")
+
+
+def rand_pi_multiple(rng, spec, v):
+    """pi^v times a random unit with small coordinates."""
+    unit = [rng.randrange(1, spec.p) + spec.p * rng.randint(-2, 2)]
+    unit += [rng.randint(-4, 4) for _ in range(spec.e_F - 1)]
+    return OFExact.make(spec, unit) * OFExact.pi(spec) ** v
+
+
+def rand_lift(rng, spec, v1):
+    a1 = OFExact.zero(spec) if v1 is None else rand_pi_multiple(rng, spec, v1)
+    mid = [rand_pi_multiple(rng, spec, rng.randint(1, 2)) if rng.random() < 0.6
+           else OFExact.zero(spec) for _ in range(spec.p - 2)]
+    return FrobLift.make(spec, [a1, *mid, OFExact.one(spec)])
+
+
+def rand_eisenstein(rng, spec, e0):
+    mid = [rand_pi_multiple(rng, spec, rng.randint(1, 2)) if rng.random() < 0.5
+           else OFExact.zero(spec) for _ in range(e0 - 1)]
+    return EisensteinE.make(spec, [rand_pi_multiple(rng, spec, 1), *mid,
+                                   OFExact.one(spec)])
+
+
+def iterate(f, n, poly):
+    """poly composed with the n-fold iterate of f, as exact coefficient lists."""
+    fpoly = [OFExact.zero(f.spec), *f.coeffs]
+    for _ in range(n):
+        poly = kisin._xp_compose(poly, fpoly, f.spec)
+    return poly
+
+
+def scan_cases(rng, spec):
+    """(f, E, N): every preset pair that is defined over spec; random lifts
+    and E, with e0 often of a degree that makes some level a candidate;
+    and built witnesses of level n with a perturbed copy of each, at a
+    budget N that mostly reaches n."""
+    p, pi = spec.p, OFExact.pi(spec)
+    top = 3 if p == 3 else 2  # the reference composes every level up to N
+    for fname in PRESETS:
+        for ename in PRESETS:
+            try:
+                yield (frob_preset(spec, fname), eisenstein_preset(spec, ename),
+                       rng.randint(0, top))
+            except ValueError:  # p has valuation 2 over Z_3[pi]
+                pass
+    for _ in range(20):
+        f = rand_lift(rng, spec, rng.choice((None, 1, 1, 2, 3)))
+        e0 = rng.choice((1, 2, p - 1, p, (p - 1) * p, (p - 1) * p // 2))
+        yield f, rand_eisenstein(rng, spec, e0), rng.randint(0, top)
+    witnesses = []
+    for n in range(top):
+        # E = phi^n(f/u) is Eisenstein when v(a_1) = 1: k = 1
+        f = rand_lift(rng, spec, 1)
+        witnesses.append((f, iterate(f, n, list(f.coeffs)), n))
+        # f = u*(u - c)^(p-1) gives phi^n(f/u) = (f^(n)(u) - c)^(p-1), so
+        # E = f(f(...f(u))) - c witnesses level n with k = p - 1
+        c = rand_pi_multiple(rng, spec, 1)
+        f = FrobLift.make(spec, kisin._xp_pow([-c, OFExact.one(spec)], p - 1, spec))
+        E = iterate(f, n, [OFExact.zero(spec), OFExact.one(spec)])
+        E[0] = E[0] - c
+        witnesses.append((f, E, n))
+    for f, E, n in witnesses:
+        N = rng.randint(max(n - 1, 0), top)
+        yield f, EisensteinE.make(spec, E), N
+        bent = list(E)
+        if len(bent) > 2:
+            j = rng.randrange(1, len(bent) - 1)
+            bent[j] = bent[j] + pi
+        else:
+            bent[0] = bent[0] + pi**2
+        yield f, EisensteinE.make(spec, bent), N
+
+
+@pytest.mark.parametrize("name", SCAN_SPECS)
+def test_hypothesis_scan_matches_reference_scan(name):
+    spec = SCAN_SPECS[name]
+    rng = random.Random(f"scan/{name}")
+    found = 0
+    for f, E, N in scan_cases(rng, spec):
+        want = reference_scan(f, E, N)
+        assert hypothesis_check(f, E, N) == want, (f, E, N)
+        found += want is not None
+    assert found >= 4
+
+
+def test_hypothesis_scan_composes_only_its_candidate_level(monkeypatch):
+    calls = []
+    compose = kisin._xp_compose
+
+    def counted(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(kisin, "_xp_compose", counted)
+    E = eisenstein_preset(Q3, "cyclotomic")
+    assert hypothesis_check(FrobLift.make(Q3, [3, 0, 1]), E, 6) is None
+    assert len(calls) == 0
+    res = hypothesis_check(frob_preset(Q3, "twisted"),
+                           eisenstein_preset(Q3, "twisted"), 6)
+    assert (res.n, res.k) == (1, 2)
+    assert len(calls) == 1
 
 
 # --- counterexample construction ---------------------------------------------
