@@ -1,5 +1,7 @@
 """Exact arithmetic for Frobenius-lift towers over ramified base fields."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetError,
     FrobkitError,
@@ -102,92 +104,6 @@ from .witt import (
     witt_polys,
 )
 
-__all__ = [
-    "AtLeast",
-    "BudgetError",
-    "CompatReport",
-    "CounterexampleWitness",
-    "DEFAULT_BUDGET",
-    "DEFAULT_PREC",
-    "EisensteinE",
-    "FElement",
-    "FieldSpec",
-    "FrobLift",
-    "FrobkitError",
-    "HypothesisResult",
-    "IndeterminateError",
-    "IntegralityError",
-    "IntertwineResult",
-    "KisinModule",
-    "MinimalHeight",
-    "NewtonPolygon",
-    "NoRootError",
-    "OFElement",
-    "OFExact",
-    "PRESET_NAMES",
-    "PerfSeries",
-    "PrecisionError",
-    "RamPolygonReport",
-    "SpecMismatchError",
-    "TowerSpec",
-    "USeries",
-    "WITT_LENGTH_BOUND",
-    "WittPolySet",
-    "WittVec",
-    "XiReport",
-    "apf_constant",
-    "check_E_reduction",
-    "check_compatible",
-    "check_counterexample",
-    "compute_mu0",
-    "counterexample_module",
-    "e_order",
-    "e_reduction_report",
-    "eisenstein_preset",
-    "elementary_level",
-    "f_fixed_point",
-    "f_fixed_point_report",
-    "fil1_rank",
-    "frob_preset",
-    "frobenius",
-    "gauge_alpha",
-    "gauge_low",
-    "ghost_map",
-    "hypothesis_check",
-    "mat_add",
-    "mat_adj",
-    "mat_const",
-    "mat_det",
-    "mat_frob",
-    "mat_identity",
-    "mat_make",
-    "mat_mul",
-    "mat_scale",
-    "mat_sub",
-    "mat_truncate",
-    "minimal_height_rank1",
-    "newton_hull",
-    "of_add",
-    "of_div",
-    "of_root",
-    "of_val",
-    "qp_spec",
-    "ramification_polygon",
-    "s_compose",
-    "s_mul",
-    "scalar_mul",
-    "solve_intertwiner",
-    "solve_intertwiner_all",
-    "teich",
-    "tower_report",
-    "verify_height",
-    "verify_intertwine",
-    "wdeg",
-    "xi_iterate",
-    "witt_add",
-    "witt_frob",
-    "witt_frob_inv",
-    "witt_mul",
-    "witt_neg",
-    "witt_polys",
-]
+# the public names are exactly the names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

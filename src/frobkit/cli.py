@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .errors import (
     BudgetError,
@@ -30,7 +31,6 @@ from .kisin import (
     counterexample_module,
     fil1_rank,
     hypothesis_check,
-    mat_make,
     minimal_height_rank1,
     verify_height,
     xi_iterate,
@@ -496,7 +496,10 @@ def _add_common(sp, with_N: bool = True):
     sp.add_argument("--A-max", dest="A_max", type=int, help="exponent bound")
 
 
-def _build_parser() -> _Parser:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built on the first job of a process and shared
+    by every later one."""
     top = _Parser(prog="frobkit", description=__doc__)
     sub = top.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -578,7 +581,7 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    top = _build_parser()
+    top = _parser()
     try:
         args = top.parse_args(argv)
         if getattr(args, "command", None) is None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import PrecisionError, SpecMismatchError
 from .scalars import DEFAULT_PREC, FElement, OFExact, of_root
 from .series import (
-    _EXACT_ZERO_PREC,
     FrobLift,
     USeries,
     _as_felement,
@@ -139,11 +138,9 @@ def _dot(xs, ys) -> FElement | None:
     return acc
 
 
-def _live(c: FElement) -> FElement | None:
-    """c, or None for an exact zero."""
-    if c.absprec >= _EXACT_ZERO_PREC and c.is_zero_at_prec():
-        return None
-    return c
+def _live(x: USeries) -> list:
+    """The coefficients of x, None for an exact zero."""
+    return [None if m is None else x.coeff(n) for n, m in enumerate(x.labels)]
 
 
 def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
@@ -180,13 +177,13 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     if mu0.is_zero_at_prec() or mu0.vlow() != 0:
         raise ValueError("mu0 must be a unit")
 
-    a = [_live(c) for c in f.as_series(absprec=n_start).coeffs[2:]]  # a_2..a_p
+    a = _live(f.as_series(absprec=n_start))[2:]  # a_2..a_p
     f2s = f2.as_series(absprec=n_start).truncate(M + s)
     powers = [f2s]
     for _ in range(2, M):
         powers.append((powers[-1] * f2s).truncate(M + s))
     # by_n[n][k - 1] = [f2^k]_n
-    by_n = list(zip(*([_live(c) for c in pw.coeffs] for pw in powers)))
+    by_n = list(zip(*(_live(pw) for pw in powers)))
 
     xi: list = [FElement.zero_at(spec, n_start), mu0]
     cols: list[list] = [[] for _ in range(2, spec.p + 1)]  # [xi^i]_m, m < d

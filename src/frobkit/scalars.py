@@ -141,6 +141,16 @@ def _reduce_poly(spec: FieldSpec, vec: list) -> list:
     return vec
 
 
+def _conv(a, b) -> list:
+    """Product of two coordinate vectors as polynomials in pi, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _det(M: list) -> int:
     """Determinant of a square int matrix, by Laplace expansion on row 0
     (1 for the empty matrix)."""
@@ -236,13 +246,7 @@ class OFExact:
         if len(a) == 1:
             num = (a[0] * b[0],)
         else:
-            conv = [0] * (2 * len(a) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            conv[i + j] += x * y
-            num = tuple(_reduce_poly(spec, conv))
+            num = tuple(_reduce_poly(spec, _conv(a, b)))
         den = self.den * other.den
         return OFExact(spec, num) if den == 1 else _exact(spec, num, den)
 
@@ -382,21 +386,12 @@ class OFElement:
     def __add__(self, other: "OFElement") -> "OFElement":
         _check_spec(self, other)
         prec = min(self.prec, other.prec)
-        if len(self.vec) == 1:  # unramified base: plain residue arithmetic
-            if prec <= 0:
-                return OFElement(self.spec, 0, (0,))
-            c = (self.vec[0] + other.vec[0]) % _pk(self.spec.p, prec)
-            return OFElement(self.spec, prec, (c,))
         return OFElement._norm(
             self.spec, prec, [a + b for a, b in zip(self.vec, other.vec)]
         )
 
     def __sub__(self, other: "OFElement") -> "OFElement":
-        _check_spec(self, other)
-        prec = min(self.prec, other.prec)
-        return OFElement._norm(
-            self.spec, prec, [a - b for a, b in zip(self.vec, other.vec)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "OFElement":
         return OFElement._norm(self.spec, self.prec, [-a for a in self.vec])
@@ -406,19 +401,7 @@ class OFElement:
         prec = min(self.prec + other.vlow(), other.prec + self.vlow())
         if prec <= 0:
             return OFElement.zero(self.spec, 0)
-        if len(self.vec) == 1:
-            c = self.vec[0] * other.vec[0]
-            if c:  # an exact zero's huge prec would cost a huge power of p
-                c %= _pk(self.spec.p, prec)
-            return OFElement(self.spec, prec, (c,))
-        e = self.spec.e_F
-        conv = [0] * (2 * e - 1)
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        conv[i + j] += a * b
-        return OFElement._norm(self.spec, prec, conv)
+        return OFElement._norm(self.spec, prec, _conv(self.vec, other.vec))
 
     def __pow__(self, n: int) -> "OFElement":
         out = OFElement.one(self.spec, self.prec)
@@ -476,14 +459,6 @@ class OFElement:
         p, e, g = spec.p, spec.e_F, spec.eisenstein
         w = g[0] // p  # p-adic unit with g_0 = p*w
         vec, prec = list(self.vec), self.prec
-        if e == 1:  # pi = -g_0 = p*(-w): divide by p^k, then by (-w)^k
-            if prec <= k:
-                return OFElement.zero(spec, 0)
-            c = vec[0] // _pk(p, k)
-            if w != -1:
-                mod = _pk(p, prec - k)
-                c = c * pow(-w, -k, mod) % mod
-            return OFElement(spec, prec - k, (c,))
         for _ in range(k):
             k0 = spec.coeff_modulus_exp(prec, 0)
             if k0 >= 2:
@@ -583,13 +558,94 @@ def _felt_zero(spec: FieldSpec, absprec: int) -> "FElement":
     return FElement(_ofelt_zero(spec, absprec), 0)
 
 
-def _felt_normalize(unit: OFElement, shift: int) -> "FElement":
-    v = unit.val()
-    if v is None:
-        return _felt_zero(unit.spec, unit.prec + shift)
-    if v > 0:
-        return FElement(unit.div_pi(v), shift + v)
-    return FElement(unit, shift)
+# --- coefficient arithmetic on ints ------------------------------------------
+#
+# A coefficient as (shift, unit, label): its valuation (the label for a
+# zero), the coordinates of its unit, and its precision label.  FElement
+# arithmetic and the series kernels both run on such triples, and _canon
+# brings every result to the one normal form.
+
+def _canon(spec: FieldSpec, s: int, vec, m: int) -> tuple[int, tuple]:
+    """(shift, unit) of pi^s * vec known modulo pi^m, vec any integral
+    coordinates on 1, pi, pi^2, ...: (m, 0) when it vanishes there, else
+    its valuation and its unit reduced as OFElement reduces (whose first
+    coordinate is never 0)."""
+    prec = m - s
+    if spec.e_F > 1:
+        unit = OFElement._norm(spec, prec, vec)
+        v = unit.val()
+        if v is None:
+            return m, unit.vec
+        if v:
+            unit = unit.div_pi(v)
+        return s + v, unit.vec
+    p = spec.p
+    c = vec[0] % _pk(p, prec) if prec > 0 else 0
+    if not c:
+        return m, (0,)
+    if c % p:
+        return s, (c,)
+    v = 0
+    while not c % p:
+        c //= p
+        v += 1
+    w = spec.eisenstein[0] // p  # pi = -g_0 = p*(-w)
+    if w != -1:
+        mod = _pk(p, prec - v)
+        c = c * pow(-w, -v, mod) % mod
+    return s + v, (c,)
+
+
+def _times_pi(spec: FieldSpec, vec, t: int):
+    """vec * pi^t for t >= 0, as coordinates not reduced modulo p."""
+    if not t:
+        return vec
+    if spec.e_F == 1:
+        return (vec[0] * _pk(-spec.eisenstein[0], t),)
+    return _reduce_poly(spec, [0] * t + list(vec))
+
+
+def _add1(spec: FieldSpec, s1, u1, n1, s2, u2, n2):
+    """The sum of two coefficients: a zero at a label no lower than the
+    other's adds nothing, and an exact one (label None) never does."""
+    if n1 is None or (not u1[0] and n2 is not None and n1 >= n2):
+        return s2, u2, n2
+    if n2 is None or (not u2[0] and n2 >= n1):
+        return s1, u1, n1
+    m = min(n1, n2)
+    if not u1[0]:
+        return (*_canon(spec, s2, u2, m), m)
+    if not u2[0]:
+        return (*_canon(spec, s1, u1, m), m)
+    s = min(s1, s2)
+    vec = [a + b for a, b in zip(_times_pi(spec, u1, s1 - s),
+                                 _times_pi(spec, u2, s2 - s))]
+    return (*_canon(spec, s, vec, m), m)
+
+
+def _neg1(spec: FieldSpec, s, u, m):
+    if not u[0]:
+        return s, u, m
+    return (*_canon(spec, s, [-c for c in u], m), m)
+
+
+def _mul1(spec: FieldSpec, s1, u1, n1, s2, u2, n2):
+    """The product of two coefficients: label min(n1 + s2, n2 + s1), and
+    exact (label None) when either factor is."""
+    if n1 is None or n2 is None:
+        return 0, (0,) * spec.e_F, None
+    n = min(n1 + s2, n2 + s1)
+    if not (u1[0] and u2[0]):
+        return n, (0,) * spec.e_F, n
+    vec = (u1[0] * u2[0],) if spec.e_F == 1 else _conv(u1, u2)
+    return (*_canon(spec, s1 + s2, vec, n), n)
+
+
+def _felt(spec: FieldSpec, s: int, unit, m: int) -> "FElement":
+    """The FElement of a (shift, unit, label) triple."""
+    if not unit[0]:
+        return _felt_zero(spec, m)
+    return FElement(OFElement(spec, m - s, tuple(unit)), s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -605,7 +661,13 @@ class FElement:
 
     @classmethod
     def make(cls, unit: OFElement, shift: int = 0) -> "FElement":
-        return _felt_normalize(unit, shift)
+        m = unit.prec + shift
+        return _felt(unit.spec, *_canon(unit.spec, shift, unit.vec, m), m)
+
+    def _triple(self) -> tuple:
+        """(shift, unit, label), with the label as shift of a zero."""
+        m = self.unit.prec + self.shift
+        return self.shift if self.unit.vec[0] else m, self.unit.vec, m
 
     @classmethod
     def from_int(cls, spec: FieldSpec, n: int, prec: int = DEFAULT_PREC) -> "FElement":
@@ -642,8 +704,7 @@ class FElement:
         return self.shift
 
     def vlow(self) -> int:
-        v = self.val()
-        return v.bound if isinstance(v, AtLeast) else v
+        return self._triple()[0]
 
     def is_integral(self) -> bool:
         """True when the value is in O_F as far as the precision can tell."""
@@ -651,50 +712,38 @@ class FElement:
 
     def __add__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
-        # a zero carrying at least the other label is additively inert;
-        # this keeps padded exact zeros out of the hot unit arithmetic
-        if self.absprec >= other.absprec and self.is_zero_at_prec():
-            return other
-        if other.absprec >= self.absprec and other.is_zero_at_prec():
-            return self
-        s = min(self.shift, other.shift)
-        ua = self.unit.shift_pi(self.shift - s)
-        ub = other.unit.shift_pi(other.shift - s)
-        return _felt_normalize(ua + ub, s)
+        spec = self.spec
+        return _felt(spec, *_add1(spec, *self._triple(), *other._triple()))
 
     def __sub__(self, other: "FElement") -> "FElement":
         return self + (-other)
 
     def __neg__(self) -> "FElement":
-        return FElement(-self.unit, self.shift)
+        return _felt(self.spec, *_neg1(self.spec, *self._triple()))
 
     def __mul__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
-        return _felt_normalize(self.unit * other.unit, self.shift + other.shift)
+        spec = self.spec
+        return _felt(spec, *_mul1(spec, *self._triple(), *other._triple()))
 
     def __truediv__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
         if other.is_zero_at_prec():
             raise PrecisionError("precision exhausted: divisor indistinguishable from 0")
-        return _felt_normalize(
-            self.unit * other.unit.inverse(), self.shift - other.shift
-        )
+        return FElement.make(self.unit * other.unit.inverse(),
+                             self.shift - other.shift)
 
     def __pow__(self, n: int) -> "FElement":
         if n < 0:
             return FElement.one(self.spec, self.unit.prec) / self ** (-n)
-        return _felt_normalize(self.unit ** n, self.shift * n)
-
-    def times_pi(self, k: int) -> "FElement":
-        return FElement(self.unit, self.shift + k)
+        return FElement.make(self.unit ** n, self.shift * n)
 
     def cap_absprec(self, absprec: int) -> "FElement":
         """Truncate the precision label to at most absprec."""
         if self.absprec <= absprec:
             return self
-        return _felt_normalize(
-            self.unit.at_prec(max(absprec - self.shift, 0)), self.shift
-        )
+        return FElement.make(self.unit.at_prec(max(absprec - self.shift, 0)),
+                             self.shift)
 
     def congruent(self, other: "FElement", k: int) -> bool:
         """True iff self - other is zero mod pi^k (raises if undecidable)."""

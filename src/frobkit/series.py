@@ -1,12 +1,18 @@
 """Truncated power series in u over F, with the Frobenius lift u -> f(u).
 
-A USeries stores coefficients c_0..c_{L-1} as FElements.  cap = None means
-the remaining coefficients are exactly zero (the series is a polynomial);
+A USeries holds coefficients c_0..c_{L-1} as plain ints with jagged
+precision (Caruso, Roe, Vaccon, "Tracking p-adic precision", 2014): per
+coefficient a shift (v_F(c_n), or the label of a zero), its unit's
+coordinates on 1, pi, ..., pi^(e_F-1) (all 0 for a zero), and a label (c_n
+is known modulo pi^label; None: c_n is exactly zero).  These are the
+fields of the FElement that coeff(n) hands out, and every operation gives
+the fields the matching FElement operation would.  cap = None means the
+remaining coefficients are exactly zero (the series is a polynomial);
 cap = L means coefficients of u^L and beyond are unknown integral tails.
-Unknown tails enter arithmetic as explicit zero-at-absprec-0 placeholders,
-so the scalar precision labels of every output coefficient degrade honestly
-instead of silently overclaiming.  In particular dividing by an Eisenstein
-E(u) and multiplying back round-trips with believable labels.
+Unknown tails enter arithmetic as label-0 zeros, so the precision labels
+of every output coefficient degrade honestly instead of silently
+overclaiming.  In particular dividing by an Eisenstein E(u) and
+multiplying back round-trips with believable labels.
 
 The u-adic order used in cap propagation is the visible order: the index of
 the first coefficient distinguishable from zero at its recorded precision.
@@ -14,11 +20,9 @@ the first coefficient distinguishable from zero at its recorded precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import comb
-from operator import add
 
 from .errors import IndeterminateError
 from .scalars import (
@@ -28,11 +32,17 @@ from .scalars import (
     FieldSpec,
     OFElement,
     OFExact,
+    _add1,
+    _canon,
+    _felt,
+    _mul1,
+    _neg1,
     _pk,
-    _reduce_poly,
+    _times_pi,
 )
 
-# absprec sentinel for coefficients that are exactly zero
+# the label of an exact zero once it leaves a series as an FElement, which
+# has no exact flag; an FElement zero at or above it enters one as exact
 _EXACT_ZERO_PREC = 10 ** 6
 
 
@@ -46,9 +56,33 @@ def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
     if isinstance(c, OFElement):
         return FElement.make(c)
     ex = c if isinstance(c, OFExact) else OFExact.make(spec, c)
-    if ex.is_zero():
-        return _exact_zero(spec)
-    return FElement.from_exact(ex, absprec)
+    return _exact_zero(spec) if ex.is_zero() else FElement.from_exact(ex, absprec)
+
+
+def _flat(spec: FieldSpec, c, absprec: int):
+    """(shift, unit, label) of an int, Fraction, OFExact, OFElement or
+    FElement coefficient; exact data is known modulo pi^absprec."""
+    if not isinstance(c, FElement):
+        c = _as_felement(spec, c, absprec)
+    if c.absprec >= _EXACT_ZERO_PREC and c.is_zero_at_prec():
+        return 0, (0,) * spec.e_F, None
+    return c._triple()
+
+
+def _window(x: "USeries", length: int):
+    """shifts, units and labels of coefficients 0..length-1 of x, padded
+    as coeff pads: exact zeros for a polynomial, label-0 zeros otherwise."""
+    pad = length - len(x.labels)
+    if pad <= 0:
+        return x.shifts[:length], x.units[:length], x.labels[:length]
+    fill = None if x.cap is None else 0
+    return (x.shifts + (0,) * pad, x.units + ((0,) * x.spec.e_F,) * pad,
+            x.labels + (fill,) * pad)
+
+
+def _series(spec: FieldSpec, triples, cap: int | None) -> "USeries":
+    """A series from (shift, unit, label) triples."""
+    return USeries(spec, *(zip(*triples) if triples else ((), (), ())), cap)
 
 
 # --- the series product kernel ------------------------------------------------
@@ -57,122 +91,150 @@ def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
 # exact zeros skipped and every other term, zero-at-precision placeholders
 # included, entering the label.  The label of a_i * b_j is
 # min(N_a_i + v(b_j), N_b_j + v(a_i)) (N the label, v the valuation, v = N
-# for a zero), below 0 as well as above; the label of a sum is the least
-# label of its terms.  So the labels come from a min-plus pass on plain
-# ints, and the values from one Kronecker-packed integer product.
-
-# label and valuation of an exact zero inside the min-plus pass: a pair with
-# one sums to more than the exact-zero label (real labels are far below
-# 2^27), so it never lowers an output label, as if the pair were skipped
-_SKIPPED = 1 << 28
+# for a zero); the label of a sum is the least label of its terms.  So the
+# labels come from a min-plus pass, the values from one Kronecker product.
 
 
-def _kernel_inputs(x: "USeries", length: int):
-    """Labels, valuations and nonzero (index, shift, unit vec) of the first
-    length coefficients of x, padded as USeries.coeff pads."""
-    labels, vals, nonzero = [], [], []
-    for i, c in enumerate(x.coeffs[:length]):
-        unit, shift = c.unit, c.shift
-        n = unit.prec + shift
-        if any(unit.vec):
-            labels.append(n)
-            vals.append(shift)
-            nonzero.append((i, shift, unit.vec))
-        elif n >= _EXACT_ZERO_PREC:
-            labels.append(_SKIPPED)
-            vals.append(_SKIPPED)
-        else:
-            labels.append(n)
-            vals.append(n)
-    pad = length - len(labels)
-    if pad > 0:
-        # past the list: exact zeros, or label-0 unknown tails under a cap
-        n = _SKIPPED if x.cap is None else 0
-        labels += [n] * pad
-        vals += [n] * pad
-    return labels, vals, nonzero
+class _Operand:
+    """What a product reads of a series, gathered once per series: its live
+    (index, label, valuation) triples; (index, unit * pi^(shift - s0)) for
+    its nonzero coefficients, s0 being their least shift; their greatest
+    shift and label; and the last Kronecker image packed, as (key, int)."""
+
+    __slots__ = ("live", "aligned", "s0", "top_shift", "top_label", "image")
+
+    def __init__(self, x: "USeries"):
+        self.live = [(i, m, s) for i, (s, m) in enumerate(zip(x.shifts, x.labels))
+                     if m is not None]
+        nz = [(i, s, u, m) for i, (s, u, m)
+              in enumerate(zip(x.shifts, x.units, x.labels)) if u[0]]
+        self.s0 = min((s for _, s, _, _ in nz), default=0)
+        self.aligned = [(i, _times_pi(x.spec, u, s - self.s0)) for i, s, u, _ in nz]
+        self.top_shift = max((s for _, s, _, _ in nz), default=0)
+        self.top_label = max((m for _, _, _, m in nz), default=0)
+        self.image = None
 
 
-def _product_labels(na, va, nb, vb) -> list[int]:
-    """min over i + j = k of min(na_i + vb_j, va_i + nb_j), capped at the
-    exact-zero label (the value of an empty sum)."""
-    live_a = [i for i, n in enumerate(na) if n != _SKIPPED]
-    live_b = [j for j, n in enumerate(nb) if n != _SKIPPED]
-    if len(live_a) < len(live_b):
-        na, va, nb, vb, live_b = nb, vb, na, va, live_a
-    out = [_EXACT_ZERO_PREC] * len(na)
-    for j in live_b:
-        rest = len(na) - j
-        out[j:] = map(min, out[j:], map(add, na, repeat(vb[j], rest)),
-                      map(add, va, repeat(nb[j], rest)))
-    return out
+def _operand(x: "USeries") -> _Operand:
+    if x._op is None:
+        object.__setattr__(x, "_op", _Operand(x))
+    return x._op
 
 
-def _pack(spec: FieldSpec, nonzero, s0: int, length: int, stride: int,
-          pk: int, nbytes: int) -> int:
-    """Kronecker image of sum_i pi^(shift_i - s0) unit_i u^i: coordinate r
-    of coefficient i, reduced mod pk, in slot i*stride + r of nbytes."""
+def _live(x: "USeries", op: _Operand, length: int) -> list:
+    live = op.live
+    if live and live[-1][0] >= length:
+        live = [t for t in live if t[0] < length]
+    if x.cap is not None and len(x.labels) < length:
+        live = live + [(i, 0, 0) for i in range(len(x.labels), length)]
+    return live
+
+
+def _to_int(fields: list, nbytes: int) -> int:
+    if nbytes == 1:
+        return int.from_bytes(bytes(fields), "little")
+    return int.from_bytes(b"".join(f.to_bytes(nbytes, "little") for f in fields),
+                          "little")
+
+
+def _from_int(value: int, count: int, nbytes: int) -> list:
+    raw = value.to_bytes(count * nbytes, "little")
+    if nbytes == 1:
+        return list(raw)
+    return [int.from_bytes(raw[k:k + nbytes], "little")
+            for k in range(0, count * nbytes, nbytes)]
+
+
+def _product_labels(a: list, b: list, length: int) -> list:
+    """Labels of coefficients 0..length-1 of a product whose factors have
+    live (index, label, valuation) triples a and b: the least
+    min(N_i + v_j, v_i + N_j) over live pairs i + j = k, None for none.
+    Each term t is stored as K - t >= 1 in a w-bit field of a big int (0:
+    no pair), and fields merge by a maximum taken on all fields at once
+    (SIMD within a register, the top bit of a field a guard bit)."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return [None] * length
+    K = max(max(n for _, n, _ in a) + max(v for _, _, v in b),
+            max(v for _, _, v in a) + max(n for _, n, _ in b)) + 1
+    n0 = min(n for _, n, _ in a)
+    v0 = min(v for _, _, v in a)
+    f1, f2, ones = [0] * length, [0] * length, [0] * length
+    for j, n, v in b:
+        f1[j] = K - n0 - v
+        f2[j] = K - v0 - n
+        ones[j] = 1
+    nbytes = (max(max(f1), max(f2)).bit_length() + 8) // 8
+    w = 8 * nbytes
+    q1, q2, lb = _to_int(f1, nbytes), _to_int(f2, nbytes), _to_int(ones, nbytes)
+    guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * length, "little")
+    low = guard - int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length, "little")
+
+    def vmax(x, y):
+        g = ((x | guard) - y) & guard
+        m = g - (g >> (w - 1))
+        return (x & m) | (y & (m ^ low))
+
+    out = 0
+    for i, n, v in a:
+        out = vmax(out, vmax(q1 - (n - n0) * lb, q2 - (v - v0) * lb) << (w * i))
+    return [K - f if f else None for f in _from_int(out, length, nbytes)]
+
+
+def _image(op: _Operand, length: int, stride: int, pk: int, nbytes: int) -> int:
+    """Kronecker image of the aligned units of an operand below length:
+    coordinate r of coefficient i, reduced mod pk, in slot i*stride + r of
+    nbytes; the last image is kept, since a Horner step reuses it."""
+    key = (length, pk, nbytes)
+    if op.image is not None and op.image[0] == key:
+        return op.image[1]
     slots = [0] * (length * stride)
-    pi = -spec.eisenstein[0]  # the uniformizer itself when e_F = 1
-    for i, shift, vec in nonzero:
-        t = shift - s0
-        if t and stride == 1:
-            vec = (vec[0] * pow(pi, t, pk),)
-        elif t:
-            vec = _reduce_poly(spec, [0] * t + list(vec))
+    for i, vec in op.aligned:
+        if i >= length:
+            break
         for r, c in enumerate(vec):
             slots[i * stride + r] = c % pk
-    return int.from_bytes(
-        b"".join(c.to_bytes(nbytes, "little") for c in slots), "little")
+    image = _to_int(slots, nbytes)
+    op.image = (key, image)
+    return image
 
 
-def _product(x: "USeries", y: "USeries", length: int) -> tuple[FElement, ...]:
+def _product(x: "USeries", y: "USeries", length: int,
+             cap: int | None) -> "USeries":
     """Coefficients 0..length-1 of x*y, identical to summing the FElement
     products x_i * y_j in any order."""
     spec = x.spec
     e = spec.e_F
-    na, va, nza = _kernel_inputs(x, length)
-    nb, vb, nzb = _kernel_inputs(y, length)
-    labels = _product_labels(na, va, nb, vb)
+    opa, opb = _operand(x), _operand(y)
+    labels = _product_labels(_live(x, opa, length), _live(y, opb, length), length)
     coords = None
-    if nza and nzb:
-        s0a = min(s for _, s, _ in nza)
-        s0b = min(s for _, s, _ in nzb)
-        s0 = s0a + s0b
+    if opa.aligned and opb.aligned and opa.aligned[0][0] + opb.aligned[0][0] < length:
+        s0 = opa.s0 + opb.s0
         # a nonzero term of coefficient k bounds its label m_k, so working
         # mod p^K with e*K >= m_k - s0 loses nothing wherever there is one;
         # where there is none the sum is exactly 0
-        digits = min(
-            max(na[i] for i, _, _ in nza) - s0a + max(s for _, s, _ in nzb) - s0b,
-            max(s for _, s, _ in nza) - s0a + max(nb[j] for j, _, _ in nzb) - s0b)
+        digits = min(opa.top_label + opb.top_shift,
+                     opa.top_shift + opb.top_label) - s0
         pk = _pk(spec.p, max(-(-digits // e), 1))  # p^K
         stride = 2 * e - 1
-        bits = 2 * (pk - 1).bit_length() + (min(len(nza), len(nzb)) * e).bit_length()
+        bits = (2 * (pk - 1).bit_length()
+                + (min(len(opa.aligned), len(opb.aligned)) * e).bit_length())
         nbytes = (bits + 7) // 8
-        prod = (_pack(spec, nza, s0a, length, stride, pk, nbytes)
-                * _pack(spec, nzb, s0b, length, stride, pk, nbytes))
-        raw = prod.to_bytes(2 * length * stride * nbytes, "little")
-        width = stride * nbytes
-        coords = [
-            [int.from_bytes(raw[k * width + r * nbytes:k * width + (r + 1) * nbytes],
-                            "little") for r in range(stride)]
-            for k in range(length)
-        ]
+        count = length * stride
+        prod = (_image(opa, length, stride, pk, nbytes)
+                * _image(opb, length, stride, pk, nbytes))
+        coords = _from_int(prod & ((1 << (8 * nbytes * count)) - 1), count, nbytes)
+    zero = (0,) * e
     out = []
-    zeros = {}
     for k, m in enumerate(labels):
-        if coords is None or m <= s0 or not any(coords[k]):
-            if m not in zeros:
-                zeros[m] = FElement.zero_at(spec, m)
-            out.append(zeros[m])
+        if m is None:
+            out.append((0, zero, None))
+        elif coords is None or m <= s0:
+            out.append((m, zero, m))
         else:
-            prec = m - s0
-            if e == 1:  # _norm without its reduction mod g
-                unit = OFElement(spec, prec, (coords[k][0] % _pk(spec.p, prec),))
-            else:
-                unit = OFElement._norm(spec, prec, coords[k])
-            out.append(FElement.make(unit, s0))
-    return tuple(out)
+            out.append((*_canon(spec, s0, coords[k * stride:(k + 1) * stride], m), m))
+    return _series(spec, out, cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,22 +242,23 @@ class USeries:
     """Power series truncated at order cap (None: exactly a polynomial)."""
 
     spec: FieldSpec
-    coeffs: tuple[FElement, ...]
+    shifts: tuple[int, ...]
+    units: tuple[tuple[int, ...], ...]
+    labels: tuple[int | None, ...]
     cap: int | None
+    _op: _Operand | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def make(cls, spec: FieldSpec, coeffs, cap: int | None = None,
              absprec: int = DEFAULT_PREC) -> "USeries":
-        cs = [_as_felement(spec, c, absprec) for c in coeffs]
+        cs = [_flat(spec, c, absprec) for c in coeffs]
         if cap is None:
             if not cs:
-                cs = [_exact_zero(spec)]
-            return cls(spec, tuple(cs), None)
-        if len(cs) > cap:
-            cs = cs[:cap]
-        while len(cs) < cap:
-            cs.append(FElement.zero_at(spec, absprec))
-        return cls(spec, tuple(cs), cap)
+                cs = [(0, (0,) * spec.e_F, None)]
+            return _series(spec, cs, None)
+        del cs[cap:]
+        cs += [(absprec, (0,) * spec.e_F, absprec)] * (cap - len(cs))
+        return _series(spec, cs, cap)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "USeries":
@@ -210,24 +273,30 @@ class USeries:
         return cls.make(spec, [0] * k + [1], absprec=absprec)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.labels)
 
     def coeff(self, n: int) -> FElement:
         """Coefficient of u^n; beyond the list it is an exact zero for
         polynomials and a fully unknown integral tail otherwise."""
-        if n < len(self.coeffs):
-            return self.coeffs[n]
-        if self.cap is None:
-            return _exact_zero(self.spec)
-        return FElement.zero_at(self.spec, 0)
+        if n < len(self.labels):
+            m = self.labels[n]
+            if m is not None:
+                return _felt(self.spec, self.shifts[n], self.units[n], m)
+        elif self.cap is not None:
+            return FElement.zero_at(self.spec, 0)
+        return _exact_zero(self.spec)
+
+    @property
+    def coeffs(self) -> tuple[FElement, ...]:
+        return tuple(self.coeff(n) for n in range(len(self.labels)))
 
     def constant(self) -> FElement:
         return self.coeff(0)
 
     def order(self) -> int | None:
         """Index of the first coefficient visible at its precision."""
-        for n, c in enumerate(self.coeffs):
-            if any(c.unit.vec):  # c.is_zero_at_prec(), inlined: a hot path
+        for n, unit in enumerate(self.units):
+            if unit[0]:
                 return n
         return None
 
@@ -235,33 +304,38 @@ class USeries:
         v = self.order()
         if v is not None:
             return v
-        return len(self.coeffs) if self.cap is None else self.cap
+        return len(self.labels) if self.cap is None else self.cap
 
     def is_zero_at_prec(self) -> bool:
         return self.order() is None
 
     def is_integral(self) -> bool:
-        return all(c.is_integral() for c in self.coeffs)
+        return all(s >= 0 for s, m in zip(self.shifts, self.labels)
+                   if m is not None)
 
     def truncate(self, cap: int) -> "USeries":
         """Weaken to a capped series of order precision cap."""
         if self.cap is not None and self.cap <= cap:
             return self
-        cs = [self.coeff(n) for n in range(cap)]
-        return USeries(self.spec, tuple(cs), cap)
+        return USeries(self.spec, *_window(self, cap), cap)
 
     def __add__(self, other: "USeries") -> "USeries":
         caps = [c for c in (self.cap, other.cap) if c is not None]
         if not caps:
-            length = max(len(self.coeffs), len(other.coeffs))
+            length = max(len(self.labels), len(other.labels))
             cap = None
         else:
             cap = length = min(caps)
-        cs = tuple(self.coeff(n) + other.coeff(n) for n in range(length))
-        return USeries(self.spec, cs, cap)
+        spec = self.spec
+        return _series(spec, [
+            _add1(spec, *a, *b) for a, b in zip(zip(*_window(self, length)),
+                                                zip(*_window(other, length)))
+        ], cap)
 
     def __neg__(self) -> "USeries":
-        return USeries(self.spec, tuple(-c for c in self.coeffs), self.cap)
+        spec = self.spec
+        return _series(spec, [_neg1(spec, *t) for t in
+                              zip(self.shifts, self.units, self.labels)], self.cap)
 
     def __sub__(self, other: "USeries") -> "USeries":
         return self + (-other)
@@ -270,7 +344,7 @@ class USeries:
         if isinstance(other, FElement):
             return self.scalar_mul(other)
         if self.cap is None and other.cap is None:
-            length = len(self.coeffs) + len(other.coeffs) - 1
+            length = len(self.labels) + len(other.labels) - 1
             cap = None
         else:
             cands = []
@@ -279,37 +353,40 @@ class USeries:
             if other.cap is not None:
                 cands.append(other.cap + self._order_for_cap())
             cap = length = min(cands)
-        return USeries(self.spec, _product(self, other, length), cap)
+        return _product(self, other, length, cap)
 
     def scalar_mul(self, c) -> "USeries":
-        c = _as_felement(self.spec, c, DEFAULT_PREC)
-        return USeries(self.spec, tuple(c * x for x in self.coeffs), self.cap)
+        """c times every coefficient; an exact zero stays exact, and an
+        exact c gives exact zeros."""
+        spec = self.spec
+        c = _flat(spec, c, DEFAULT_PREC)
+        return _series(spec, [_mul1(spec, *t, *c) for t in
+                              zip(self.shifts, self.units, self.labels)], self.cap)
 
     def times_u(self, k: int) -> "USeries":
-        cs = (_exact_zero(self.spec),) * k + self.coeffs
         cap = None if self.cap is None else self.cap + k
-        return USeries(self.spec, cs, cap)
+        return USeries(self.spec, (0,) * k + self.shifts,
+                       ((0,) * self.spec.e_F,) * k + self.units,
+                       (None,) * k + self.labels, cap)
 
     def div_u(self, k: int) -> "USeries":
         """Exact division by u^k; the dropped low coefficients must be zero
         at their precision and are trusted to be exactly zero."""
-        if any(not c.is_zero_at_prec() for c in self.coeffs[:k]):
+        if any(u[0] for u in self.units[:k]):
             raise ValueError("series not divisible by u^k")
-        cs = self.coeffs[k:]
-        if not cs:
-            cs = (_exact_zero(self.spec),)
         cap = None if self.cap is None else max(self.cap - k, 1)
-        return USeries(self.spec, cs, cap)
+        if len(self.labels) <= k:
+            return USeries(self.spec, (0,), ((0,) * self.spec.e_F,), (None,), cap)
+        return USeries(self.spec, self.shifts[k:], self.units[k:],
+                       self.labels[k:], cap)
 
     def to_json(self) -> dict:
         cs = [c.cap_absprec(min(c.absprec, 64)).to_json() for c in self.coeffs]
         return {"coeffs": cs, "cap": self.cap}
 
     def __repr__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero_at_prec():
-                terms.append(f"({c.unit.vec}*pi^{c.shift})u^{n}")
+        terms = [f"({u}*pi^{s})u^{n}"
+                 for n, (s, u) in enumerate(zip(self.shifts, self.units)) if u[0]]
         tail = "" if self.cap is None else f" + O(u^{self.cap})"
         return "USeries[" + (" + ".join(terms) or "0") + tail + "]"
 
@@ -320,17 +397,19 @@ def s_mul(a: USeries, b: USeries) -> USeries:
 
 def s_compose(h: USeries, g: USeries) -> USeries:
     """h(g(u)) by Horner; g must have constant term zero at precision."""
-    if not g.constant().is_zero_at_prec():
+    if g.order() == 0:
         raise ValueError("composition needs g(0) = 0")
     spec = h.spec
-    acc = USeries.make(spec, [h.coeff(len(h.coeffs) - 1)])
-    for n in range(len(h.coeffs) - 2, -1, -1):
+    top = len(h) - 1
+    acc = USeries(spec, h.shifts[top:], h.units[top:], h.labels[top:], None)
+    for n in range(top - 1, -1, -1):
         # acc * g + h_n: only the constant term changes, since adding an
         # exact zero leaves every other coefficient as it is
         prod = acc * g
-        cs = list(prod.coeffs)
-        cs[0] = cs[0] + h.coeff(n)
-        acc = USeries(spec, tuple(cs), prod.cap)
+        c0 = _add1(spec, prod.shifts[0], prod.units[0], prod.labels[0],
+                   h.shifts[n], h.units[n], h.labels[n])
+        acc = USeries(spec, (c0[0],) + prod.shifts[1:], (c0[1],) + prod.units[1:],
+                      (c0[2],) + prod.labels[1:], prod.cap)
     if h.cap is not None:
         # the unknown tail of h enters at order cap_h * ord(g)
         acc = acc.truncate(h.cap * max(g._order_for_cap(), 1))
@@ -386,10 +465,8 @@ def frobenius(x: USeries, f: FrobLift, n: int = 1, absprec: int | None = None) -
     if n < 0:
         raise ValueError("n must be >= 0")
     if absprec is None:
-        absprec = max(
-            [c.absprec for c in x.coeffs if not c.is_zero_at_prec()],
-            default=DEFAULT_PREC,
-        )
+        absprec = max((m for u, m in zip(x.units, x.labels) if u[0]),
+                      default=DEFAULT_PREC)
         absprec = max(absprec, DEFAULT_PREC) + x.spec.e_F
     fs = f.as_series(absprec)
     for _ in range(n):
@@ -442,29 +519,31 @@ class EisensteinE:
 def wdeg(x: USeries) -> int | None:
     """Weierstrass degree: least n with v_F(c_n) = 0; None when the whole
     series vanishes mod pi out to its cap."""
-    for n, c in enumerate(x.coeffs):
-        if c.val() == 0:
-            return n
-        if c.is_zero_at_prec() and c.absprec < 1:
+    for n, (s, u, m) in enumerate(zip(x.shifts, x.units, x.labels)):
+        if u[0]:
+            if not s:
+                return n
+        elif m is not None and m < 1:
             raise IndeterminateError(
                 f"coefficient of u^{n} carries no information mod pi"
             )
     return None
 
 
-def _poly_longdiv(x: USeries, e_coeffs: list[FElement]) -> tuple[USeries, list[FElement]]:
+def _poly_longdiv(x: USeries, E: USeries) -> tuple[USeries, list[FElement]]:
     """Exact-tail division x = q*E + r by monic E, top down."""
     spec = x.spec
-    e0 = len(e_coeffs) - 1
-    rem = list(x.coeffs)
+    e0 = len(E) - 1
+    ecs = list(zip(E.shifts, E.units, E.labels))
+    rem = list(zip(x.shifts, x.units, x.labels))
     qlen = max(len(rem) - e0, 0)
-    q = [_exact_zero(spec)] * max(qlen, 1)
+    q = [(0, (0,) * spec.e_F, None)] * max(qlen, 1)
     for m in range(qlen - 1, -1, -1):
-        c = rem[m + e0]
-        q[m] = c
+        q[m] = c = rem[m + e0]
+        neg = _neg1(spec, *c)
         for i in range(e0 + 1):
-            rem[m + i] = rem[m + i] - c * e_coeffs[i]
-    return USeries(spec, tuple(q), None), rem[:e0]
+            rem[m + i] = _add1(spec, *rem[m + i], *_mul1(spec, *neg, *ecs[i]))
+    return _series(spec, q, None), list(_series(spec, rem[:e0], None).coeffs)
 
 
 def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElement]]:
@@ -480,26 +559,22 @@ def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElem
     """
     spec = x.spec
     e0 = E.e0
-    maxp = max((c.absprec for c in x.coeffs), default=DEFAULT_PREC)
-    maxp = min(maxp, 4 * DEFAULT_PREC + 16)
-    ecoeffs = [
-        _as_felement(spec, c, maxp + spec.e_F + 2) for c in E.coeffs
-    ]
+    maxp = max((m for m in x.labels if m is not None), default=DEFAULT_PREC)
+    Es = E.as_series(maxp + spec.e_F + 2)
     if x.cap is None:
-        return _poly_longdiv(x, ecoeffs)
+        return _poly_longdiv(x, Es)
     L = x.cap
-    d = USeries(spec, tuple(-c for c in ecoeffs[:e0]), None)  # u^e0 - E
-    xs = [x.coeff(n) for n in range(L + e0)]  # top e0 entries: unknown tail
-    q = [_exact_zero(spec)] * L
+    d = -USeries(spec, Es.shifts[:e0], Es.units[:e0], Es.labels[:e0], None)  # u^e0 - E
+    xs = USeries(spec, *_window(x, L + e0), None)  # top e0 entries: unknown tail
+    q = USeries(spec, *_window(USeries.zero(spec), L), None)
     for _ in range(L + 1):
-        qd = _product(USeries(spec, tuple(q), None), d, L + e0)
-        y = list(map(add, xs, qd))
-        q_new = y[e0:]
-        if all((a - b).is_zero_at_prec() and a.absprec == b.absprec
-               for a, b in zip(q_new, q)):
+        y = xs + _product(q, d, L + e0, None)
+        q_new = USeries(spec, y.shifts[e0:], y.units[e0:], y.labels[e0:], None)
+        if q_new == q:
             break
         q = q_new
-    return USeries(spec, tuple(q_new), L), y[:e0]
+    return (USeries(spec, q_new.shifts, q_new.units, q_new.labels, L),
+            list(y.coeffs[:e0]))
 
 
 def _divisible_verdict(rem: list[FElement]) -> bool:
@@ -522,7 +597,7 @@ def e_divides(x: USeries, E: EisensteinE) -> bool:
     out before the remainder can be judged it raises IndeterminateError.
     """
     if x.is_zero_at_prec():
-        if any(c.absprec < 1 for c in x.coeffs):
+        if any(m is not None and m < 1 for m in x.labels):
             raise IndeterminateError(
                 "series vanishes only because precision is exhausted"
             )
@@ -539,7 +614,7 @@ def e_order(x: USeries, E: EisensteinE) -> tuple[int, USeries]:
         raise ValueError("E-order of a series indistinguishable from zero")
     k = 0
     cof = x
-    bound = (len(x.coeffs) if x.cap is None else x.cap) // E.e0
+    bound = (len(x) if x.cap is None else x.cap) // E.e0
     while k < bound:
         if cof.cap is not None and cof.cap < E.e0 + 1:
             break
@@ -547,7 +622,7 @@ def e_order(x: USeries, E: EisensteinE) -> tuple[int, USeries]:
         if not _divisible_verdict(rem):
             break
         trimmed = q if q.cap is None else USeries(
-            x.spec, q.coeffs[: q.cap - E.e0], q.cap - E.e0
+            x.spec, *_window(q, q.cap - E.e0), q.cap - E.e0
         )
         k += 1
         cof = trimmed
@@ -600,18 +675,10 @@ def newton_hull(points) -> NewtonPolygon:
 def _gauge_combine(values):
     """Minimum of gauge readings (None = no visible difference): the least
     visible value, unless an AtLeast bound could undercut it."""
-    visible = None
-    bound = None
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, AtLeast):
-            bound = v.bound if bound is None else min(bound, v.bound)
-        else:
-            visible = v if visible is None else min(visible, v)
-    if visible is None:
-        return None if bound is None else AtLeast(bound)
-    if bound is not None and bound < visible:
+    values = [v for v in values if v is not None]
+    visible = min((v for v in values if not isinstance(v, AtLeast)), default=None)
+    bound = min((v.bound for v in values if isinstance(v, AtLeast)), default=None)
+    if bound is not None and (visible is None or bound < visible):
         return AtLeast(bound)
     return visible
 
@@ -624,17 +691,15 @@ def gauge_alpha(x: USeries, e0: int) -> int | AtLeast | None:
     undercut the visible minimum.
     """
     step = e0 * x.spec.p
-    readings = []
-    for n, c in enumerate(x.coeffs):
-        v = c.val()
-        if not isinstance(v, AtLeast):
-            readings.append(v + n // step)
-        elif v.bound < _EXACT_ZERO_PREC:
-            readings.append(AtLeast(v.bound + n // step))
+    visible = [s + n // step
+               for n, (s, u) in enumerate(zip(x.shifts, x.units)) if u[0]]
+    hidden = [m + n // step for n, (u, m) in enumerate(zip(x.units, x.labels))
+              if m is not None and not u[0]]
     if x.cap is not None:
         # unknown integral tail could contribute from order cap onward
-        readings.append(AtLeast(x.cap // step))
-    return _gauge_combine(readings)
+        hidden.append(x.cap // step)
+    return _gauge_combine((min(visible, default=None),
+                           AtLeast(min(hidden)) if hidden else None))
 
 
 def gauge_low(x: USeries, e0: int) -> int | None:

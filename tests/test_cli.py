@@ -312,3 +312,17 @@ def test_subprocess_streams_and_trailing_newline():
     assert proc.stdout.endswith("\n")
     assert json.loads(proc.stdout)["report"]["c"] == "2/3"
     assert "tower:" in proc.stderr
+
+
+def test_one_process_matches_separate_runs(capsys):
+    # the parser is built once per process: a usage error must leave it
+    # as it was for the jobs after it
+    jobs = [["tower", "--preset", "cyclotomic", "--p", "3", "--levels", "x"],
+            ["tower", "--preset", "cyclotomic", "--p", "3"],
+            ["tower", "--preset", "cyclotomic", "--p", "3", "--levels", "x"]]
+    in_process = [invoke(capsys, *argv) for argv in jobs]
+    for argv, got in zip(jobs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "frobkit.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+    assert [rc for rc, _, _ in in_process] == [1, 0, 1]

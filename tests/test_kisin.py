@@ -761,3 +761,29 @@ def test_xi_report_json_deterministic():
     assert set(obj) == {"Y", "den", "gauges"}
     for g in obj["gauges"]:
         assert g is None or isinstance(g, int) or set(g) == {"at_least"}
+
+
+def test_xi_report_exact_zeros_stay_exact(monkeypatch):
+    # the first `kisin xi` job of the xi-rank2 benchmark stream at seed 1:
+    # Y = N / det(A0)^6 scales exact zeros of N by pi^-6, and an exact zero
+    # stays exact instead of turning into a zero labelled 10**6 - 6
+    import frobkit.cli as cli
+    monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
+    argv = ["kisin", "xi", "--p", "3", "--f", "[9, 0, 1]", "--E", "[-3, 1]",
+            "--r", "1", "--max-n", "6", "--M", "54", "--N", "16", "--matrix",
+            "[[[28, -24, -52, -52, 0, 8], [0, -120, 36, -28, -104, -104, 0, 16]],"
+            " [[-15, -25, -6, -2, -26, -26, 0, 4],"
+            " [-75, 25, -30, -110, -22, 6, -52, -52, 0, 8]]]"]
+    args = cli._parser().parse_args(argv)
+    spec = cli._field(args, {})
+    prec = cli._precision(args, {})
+    m, _ = cli._kisin_module(spec, args, {}, prec, 1)
+    rep = kisin.xi_iterate(m, 6, u_order=prec["u_order"])
+    exact = 0
+    for y in (entry for row in rep.Y for entry in row):
+        for n in range(len(y)):
+            if y.labels[n] is None:
+                exact += 1
+            else:
+                assert y.coeff(n).absprec < 999000
+    assert exact > 0

@@ -144,7 +144,7 @@ def test_wdeg_unit_and_pi_multiple():
 
 
 def test_wdeg_indeterminate_on_precision_zero_coefficient():
-    xs = USeries(Q3, (FElement.zero_at(Q3, 0),) * 3, 3)
+    xs = USeries.make(Q3, [FElement.zero_at(Q3, 0)] * 3, cap=3)
     with pytest.raises(IndeterminateError):
         wdeg(xs)
 
@@ -208,7 +208,7 @@ def test_e_order_indeterminate_when_precision_gone():
     E = eisenstein_preset(Q3, "cyclotomic")
     cs = [FElement.zero_at(Q3, 0), FElement.zero_at(Q3, 0),
           FElement.from_int(Q3, 1, 8)] + [FElement.zero_at(Q3, 8)] * 5
-    x = USeries(Q3, tuple(cs), 8)
+    x = USeries.make(Q3, cs, cap=8)
     with pytest.raises(IndeterminateError):
         e_order(x, E)
 
@@ -261,19 +261,19 @@ def test_e_order_capped_cofactor_is_pinned(args, want):
 
 
 def test_e_order_capped_cofactor_above_64_digits_is_pinned():
-    # E = u^2 + 3 at input labels 100 and cap 240: E is materialized at 66
-    # digits, so q_0 and q_1 stop at 67 (a known clamp, pinned until the
-    # exact-zero flag lets it go)
+    # E = u^2 + 3 at input labels 100 and cap 240: E is materialized at the
+    # greatest label of a coefficient that is not exact (100) plus 3, so
+    # q_0 and q_1 keep all 100 digits
     E = EisensteinE.make(Q3, [3, 0, 1])
     x = (USeries.make(Q3, [1, 1, 1, 1], cap=240, absprec=100)
          * USeries.make(Q3, [3, 0, 1], absprec=100))
     k, cof = e_order(x, E)
     rows = [(c.unit.prec, c.unit.vec, c.shift) for c in cof.coeffs]
     assert (k, cof.cap) == (1, 238)
-    assert rows[:4] == [(67, (1,), 0), (67, (1,), 0), (100, (1,), 0),
+    assert rows[:4] == [(100, (1,), 0), (100, (1,), 0), (100, (1,), 0),
                         (100, (1,), 0)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "e81a61bc0dbee98a15d266839adc634f048c119eb19d883a9b6dfec4eb472e58")
+        "c4eeeae4f7f0b027fb9468a7279dd92ea78558381d9cc63dce7e742aacef721d")
 
 
 # --- Newton polygon ----------------------------------------------------------
@@ -462,3 +462,67 @@ def test_divide_back_congruent_at_claimed_labels():
         d = cof.coeff(n) - y.coeff(n)
         assert d.is_zero_at_prec()
         assert d.absprec >= 1
+
+
+# --- raising input labels never lowers an output label -------------------------
+
+def _labels(x: USeries) -> list:
+    return [float("inf") if m is None else m for m in x.labels]
+
+
+def _not_lower(old: USeries, new: USeries) -> bool:
+    return all(b >= a for a, b in zip(_labels(old), _labels(new)))
+
+
+@st.composite
+def _refined_pair(draw, g_of_zero=False):
+    """Two series over one field, each twice: exact values known to labels
+    N_n, then to N_n + d_n (d_n >= 0), a 0 being an exact zero in both;
+    with g_of_zero the second series has constant term 0."""
+    spec = draw(st.sampled_from((Q3, RAM3)))
+
+    def refined(min_len, constant):
+        n = draw(st.integers(min_len, 8))
+        vals = draw(st.lists(st.sampled_from((0, 1, 2, 3, 9, 27, 5, -4, 81, 7))
+                             | st.fractions(-20, 20, max_denominator=9),
+                             min_size=n, max_size=n))
+        if constant is not None:
+            vals[0] = constant
+        labels = draw(st.lists(st.integers(-2, 30), min_size=n, max_size=n))
+        ups = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        cap = draw(st.one_of(st.none(), st.integers(n, n + 4)))
+        def known_to(extra):
+            return [FElement.from_exact(OFExact.make(spec, v), m + d * extra)
+                    if v else 0 for v, m, d in zip(vals, labels, ups)]
+        return [USeries.make(spec, known_to(extra), cap) for extra in (0, 1)]
+    return refined(1, None), refined(2 if g_of_zero else 1, 0 if g_of_zero else None)
+
+
+@given(pair=_refined_pair())
+@settings(max_examples=60, deadline=None)
+def test_product_labels_never_drop_when_inputs_refine(pair):
+    (x, x2), (y, y2) = pair
+    assert _not_lower(x * y, x2 * y2)
+
+
+@given(pair=_refined_pair(g_of_zero=True))
+@settings(max_examples=40, deadline=None)
+def test_compose_labels_never_drop_when_inputs_refine(pair):
+    (h, h2), (g, g2) = pair
+    assert _not_lower(s_compose(h, g), s_compose(h2, g2))
+
+
+@given(c0=st.integers(0, 2), tail=st.lists(st.integers(-30, 30), max_size=4),
+       k=st.integers(0, 3), N=st.integers(8, 90), up=st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_e_order_labels_never_drop_when_inputs_refine(c0, tail, k, N, up):
+    E = EisensteinE.make(Q3, [3, 0, 1])
+    out = []
+    for absprec in (N, N + up):
+        x = USeries.make(Q3, [1 + 3 * c0, *tail], cap=30, absprec=absprec)
+        for _ in range(k):
+            x = x * E.as_series(absprec).truncate(30)
+        out.append(e_order(x, E))
+    (k1, cof1), (k2, cof2) = out
+    assert k1 == k2 == k
+    assert _not_lower(cof1, cof2)

@@ -1,8 +1,15 @@
-"""The integer product kernel of USeries against the coefficient loop.
+"""The integer series kernels of USeries against coefficient loops.
 
 reference_mul is the per-coefficient FElement loop that USeries.__mul__
 ran before the Kronecker kernel: every live pair a_i * b_j is multiplied
-and added, in order of i or in reverse, exact zeros skipped.  The kernel
+and added, in order of i or in reverse, exact zeros skipped.  Sums and
+scalar multiples are checked against FElement loops the same way.  The
+loops add and multiply FElements as FElement did before its arithmetic
+moved onto the integer triples the kernels share (ref_add, ref_mul:
+OFElement arithmetic, then division of the unit by its valuation), so
+they do not run the code they check.  An exact coefficient leaves a
+series as the FElement zero at label _EXACT_ZERO_PREC, and such a zero
+enters one as exact, so "live" below means "not that zero".  The kernels
 must return the same FElement tuples (values, shifts and precision
 labels) and the same cap on random series over Z_3, Z_5, Z_3[pi] with
 pi^2 = 3, and Z_3 with uniformizer -6.
@@ -11,6 +18,8 @@ pi^2 = 3, and Z_3 with uniformizer -6.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobkit.scalars import FElement, FieldSpec, OFElement, qp_spec
 from frobkit.series import _EXACT_ZERO_PREC, USeries, _exact_zero
@@ -23,12 +32,37 @@ SPECS = {
 }
 
 
+def ref_normalize(unit: OFElement, shift: int) -> FElement:
+    v = unit.val()
+    if v is None:
+        return FElement.zero_at(unit.spec, unit.prec + shift)
+    return FElement(unit.div_pi(v) if v else unit, shift + v)
+
+
+def ref_add(a: FElement, b: FElement) -> FElement:
+    # a zero carrying at least the other label is additively inert
+    if a.absprec >= b.absprec and a.is_zero_at_prec():
+        return b
+    if b.absprec >= a.absprec and b.is_zero_at_prec():
+        return a
+    s = min(a.shift, b.shift)
+    return ref_normalize(a.unit.shift_pi(a.shift - s) + b.unit.shift_pi(b.shift - s), s)
+
+
+def ref_mul(a: FElement, b: FElement) -> FElement:
+    return ref_normalize(a.unit * b.unit, a.shift + b.shift)
+
+
+def ref_neg(a: FElement) -> FElement:
+    return FElement(-a.unit, a.shift)
+
+
 def window(x: USeries, length: int) -> list[FElement]:
-    cs = list(x.coeffs[:length])
-    if len(cs) < length:
-        pad = _exact_zero(x.spec) if x.cap is None else FElement.zero_at(x.spec, 0)
-        cs += [pad] * (length - len(cs))
-    return cs
+    return [x.coeff(n) for n in range(length)]
+
+
+def live(c: FElement) -> bool:
+    return not (c.is_zero_at_prec() and c.absprec >= _EXACT_ZERO_PREC)
 
 
 def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
@@ -42,7 +76,6 @@ def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
         if y.cap is not None:
             cands.append(y.cap + x._order_for_cap())
         cap = length = min(cands)
-    live = lambda c: not (c.is_zero_at_prec() and c.absprec >= _EXACT_ZERO_PREC)
     av = [(i, c) for i, c in enumerate(window(x, length)) if live(c)]
     bv = [(j, c) for j, c in enumerate(window(y, length)) if live(c)]
     out = [_exact_zero(x.spec)] * length
@@ -50,8 +83,27 @@ def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
         for j, cb in bv:
             if i + j >= length:
                 break
-            out[i + j] = out[i + j] + ca * cb
-    return USeries(x.spec, tuple(out), cap)
+            out[i + j] = ref_add(out[i + j], ref_mul(ca, cb))
+    return USeries.make(x.spec, out, cap)
+
+
+def reference_add(x: USeries, y: USeries) -> USeries:
+    caps = [c for c in (x.cap, y.cap) if c is not None]
+    length = min(caps) if caps else max(len(x), len(y))
+    out = [ref_add(x.coeff(n), y.coeff(n)) for n in range(length)]
+    return USeries.make(x.spec, out, min(caps) if caps else None)
+
+
+def reference_scale(x: USeries, c: FElement) -> USeries:
+    # exact stays exact on either side; every other product is FElement's
+    out = [a if not live(a) else ref_mul(c, a) if live(c) else c
+           for a in x.coeffs]
+    return with_cap(USeries.make(x.spec, out), x.cap) if out else x
+
+
+def with_cap(poly: USeries, cap) -> USeries:
+    """poly's coefficients under cap, which may lie past them."""
+    return USeries(poly.spec, poly.shifts, poly.units, poly.labels, cap)
 
 
 def random_coeff(rng, spec, min_shift):
@@ -71,11 +123,11 @@ def random_series(rng, spec, min_shift):
     n = rng.randint(1, 24)
     cs = [random_coeff(rng, spec, min_shift) for _ in range(n)]
     kind = rng.random()
+    poly = USeries.make(spec, cs)
     if kind < 0.35:
-        return USeries(spec, tuple(cs), None)
+        return poly
     # a cap past the stored coefficients reads as label-0 unknown tails
-    cap = n + rng.choice((0, 0, 0, 2, 5))
-    return USeries(spec, tuple(cs), cap)
+    return with_cap(poly, n + rng.choice((0, 0, 0, 2, 5)))
 
 
 @pytest.mark.parametrize("min_shift", [0, -3], ids=["integral", "negative-shift"])
@@ -98,8 +150,8 @@ def test_kernel_matches_reference_loop(name, min_shift):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_kernel_matches_reference_on_placeholders_only(name):
     spec = SPECS[name]
-    zeros = USeries(spec, (FElement.zero_at(spec, 4), _exact_zero(spec),
-                           FElement.zero_at(spec, 0)), 3)
+    zeros = USeries.make(spec, [FElement.zero_at(spec, 4), _exact_zero(spec),
+                                FElement.zero_at(spec, 0)], 3)
     one = USeries.make(spec, [1, 0, 2], absprec=6)
     for x, y in ((zeros, one), (one, zeros), (zeros, zeros),
                  (USeries.zero(spec), one)):
@@ -123,3 +175,32 @@ def test_kernel_matches_both_fold_orders_below_label_0(name):
             assert got.coeffs == want.coeffs
         seen += sum(c.absprec < 0 for c in got.coeffs)
     assert seen > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 10 ** 9),
+       min_shift=st.sampled_from((0, -3)))
+def test_flat_kernels_match_felement_loops(name, seed, min_shift):
+    spec = SPECS[name]
+    rng = random.Random(seed)
+    x = random_series(rng, spec, min_shift)
+    y = random_series(rng, spec, min_shift)
+    neg_y = USeries.make(spec, [ref_neg(c) if live(c) else c for c in y.coeffs])
+    for got, want in ((x * y, reference_mul(x, y)), (x + y, reference_add(x, y)),
+                      (x - y, reference_add(x, with_cap(neg_y, y.cap)))):
+        assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
+    for c in (random_coeff(rng, spec, min_shift), _exact_zero(spec)):
+        got, want = x.scalar_mul(c), reference_scale(x, c)
+        assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 10 ** 9))
+def test_felement_ops_match_ofelement_reference(name, seed):
+    spec = SPECS[name]
+    rng = random.Random(seed)
+    for _ in range(20):
+        a, b = (random_coeff(rng, spec, rng.choice((0, -3))) for _ in range(2))
+        assert a + b == ref_add(a, b)
+        assert a * b == ref_mul(a, b)
+        assert -a == ref_neg(a)
