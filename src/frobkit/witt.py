@@ -1,7 +1,15 @@
 """Truncated pi-Witt vectors over a perfected residue model.
 
-The symbolic layer builds the sum/product polynomials S_m, P_m with exact
-O_F coefficients from the ghost recursion and asserts their integrality.
+The symbolic layer builds the sum/product polynomials S_m, P_m from the
+ghost recursion on integer coordinates of O_F (one denominator per
+polynomial) and asserts their integrality; witt_polys hands them out with
+exact OFExact coefficients.  For evaluation each set is compiled once into
+nested Horner tries over one common denominator D, evaluated on plain
+integers with one power table per variable: the ghost self-test compares
+D^(p^m)-scaled ghost coordinates exactly on integers, and the residues of
+the same tries drive the value layer.  eval_poly_exact and ghost_map are
+the OFExact reference for both.
+
 The value layer evaluates them over PerfSeries, a truncated model of
 k[[ubar^(1/p^oo)]]: exponents are rationals with denominator p^J stored as
 integers scaled by p^J, coefficients live in F_p.  A value is either exact
@@ -18,89 +26,196 @@ comparing ghosts.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import BudgetError, IntegralityError
-from .scalars import FieldSpec, OFExact
+from .scalars import FieldSpec, OFExact, _conv, _exact, _reduce_poly, _vp_int
 from .series import EisensteinE, FrobLift
 
 WITT_LENGTH_BOUND = 5
 DEFAULT_BUDGET = (6, 32)  # (J root levels, A_max exponent bound)
 
-# symbolic polynomials: dict from exponent tuples (x_0..x_{n-1}, y_0..y_{n-1})
-# to exact O_F coefficients
+# symbolic polynomials under construction: a pair (terms, den) of a dict from
+# exponent tuples (x_0..x_{n-1}, y_0..y_{n-1}) to integer coordinates of O_F
+# (see _Ring) and one denominator for the whole polynomial, in lowest terms
+# (den > 0 and gcd(den, every coordinate) = 1, so equal values are equal pairs)
 _POLY_TERM_BUDGET = 200_000
 
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+class _Ring(NamedTuple):
+    """Integer arithmetic in Z[pi]/g: an element is a plain int when
+    e_F = 1 and otherwise a tuple of coordinates on 1, pi, ..., pi^(e_F-1)."""
+
+    mul: Callable
+    add: Callable
+    zero: object
+    one: object
+    pi: object
+    make: Callable    # coordinate tuple -> element
+    coords: Callable  # element -> coordinate tuple
+    of_int: Callable  # integer -> element
+
+
+@lru_cache(maxsize=None)
+def _ring(spec: FieldSpec) -> _Ring:
+    g, e = spec.eisenstein, spec.e_F
+    if e == 1:
+        return _Ring(operator.mul, operator.add, 0, 1, -g[0],
+                     operator.itemgetter(0), lambda c: (c,), int)
+    if e == 2:  # pi^2 = -g_1 pi - g_0
+        g0, g1 = g[0], g[1]
+
+        def mul(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return (a0 * b0 - g0 * t, a0 * b1 + a1 * b0 - g1 * t)
+    else:
+        def mul(a, b):
+            return tuple(_reduce_poly(spec, _conv(a, b)))
+
+    def add(a, b):
+        return tuple(map(operator.add, a, b))
+
+    zero = (0,) * e
+    return _Ring(mul, add, zero, (1,) + zero[1:], (0, 1) + zero[2:],
+                 tuple, tuple, lambda k: (k,) + zero[1:])
+
+
+def _pi_powers(spec: FieldSpec, n: int) -> list:
+    ring = _ring(spec)
+    out = [ring.one]
+    while len(out) < n:
+        out.append(ring.mul(out[-1], ring.pi))
     return out
 
 
-def _poly_neg(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
+def _norm(spec: FieldSpec, terms: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) in lowest terms."""
+    if den == 1:
+        return terms, den
+    ring = _ring(spec)
+    g = math.gcd(den, *(x for c in terms.values() for x in ring.coords(c)))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return terms, den
+    return {k: ring.make(tuple(x // g for x in ring.coords(c)))
+            for k, c in terms.items()}, den // g
 
 
-def _poly_scale(a: dict, c: OFExact) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: c * v for k, v in a.items()}
+def _poly_scale(spec: FieldSpec, a: tuple[dict, int], c) -> tuple[dict, int]:
+    """c * a for a nonzero element c."""
+    mul = _ring(spec).mul
+    terms, den = a
+    return _norm(spec, {k: mul(c, v) for k, v in terms.items()}, den)
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    if len(a) * len(b) > _POLY_TERM_BUDGET:
+def _poly_add(spec: FieldSpec, a: tuple[dict, int],
+              b: tuple[dict, int]) -> tuple[dict, int]:
+    ring = _ring(spec)
+    (ta, da), (tb, db) = a, b
+    if da != db:
+        d = math.lcm(da, db)
+        ta = {k: ring.mul(ring.of_int(d // da), c) for k, c in ta.items()}
+        tb = {k: ring.mul(ring.of_int(d // db), c) for k, c in tb.items()}
+        da = d
+    add, zero = ring.add, ring.zero
+    out = dict(ta)
+    for k, c in tb.items():
+        s = out.get(k)
+        s = c if s is None else add(s, c)
+        if s == zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return _norm(spec, out, da)
+
+
+def _poly_mul(spec: FieldSpec, a: tuple[dict, int],
+              b: tuple[dict, int]) -> tuple[dict, int]:
+    (ta, da), (tb, db) = a, b
+    if len(ta) * len(tb) > _POLY_TERM_BUDGET:
         raise BudgetError("Witt polynomial construction exceeds the term budget")
+    ring = _ring(spec)
+    mul, add, zero = ring.mul, ring.add, ring.zero
+    kadd = operator.add
     out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+    for ka, ca in ta.items():
+        for kb, cb in tb.items():
+            k = tuple(map(kadd, ka, kb))
             s = out.get(k)
-            s = ca * cb if s is None else s + ca * cb
-            if s.is_zero():
+            s = mul(ca, cb) if s is None else add(s, mul(ca, cb))
+            if s == zero:
                 out.pop(k, None)
             else:
                 out[k] = s
         if len(out) > _POLY_TERM_BUDGET:
             raise BudgetError("Witt polynomial construction exceeds the term budget")
-    return out
+    return _norm(spec, out, da * db)
 
 
-def _poly_pow(a: dict, e: int) -> dict:
+def _poly_pow(spec: FieldSpec, a: tuple[dict, int], e: int) -> tuple[dict, int]:
     out = None
     base = a
     while e:
         if e & 1:
-            out = base if out is None else _poly_mul(out, base)
+            out = base if out is None else _poly_mul(spec, out, base)
         e >>= 1
         if e:
-            base = _poly_mul(base, base)
-    return out if out is not None else {}
+            base = _poly_mul(spec, base, base)
+    return out if out is not None else ({}, 1)
 
 
-def _monomial(nvars: int, idx: int, exp: int, coeff: OFExact) -> dict:
-    key = [0] * nvars
-    key[idx] = exp
-    return {tuple(key): coeff}
-
-
-def _ghost_poly(spec: FieldSpec, n: int, m: int, offset: int) -> dict:
+def _ghost_poly(spec: FieldSpec, n: int, m: int, offset: int) -> tuple[dict, int]:
     """w_m as a polynomial in variables offset..offset+m out of 2n."""
     p = spec.p
     out: dict = {}
-    for j in range(m + 1):
-        c = OFExact.pi(spec) ** j
-        out = _poly_add(out, _monomial(2 * n, offset + j, p ** (m - j), c))
-    return out
+    for j, c in enumerate(_pi_powers(spec, m + 1)):
+        key = [0] * (2 * n)
+        key[offset + j] = p ** (m - j)
+        out[tuple(key)] = c
+    return out, 1
+
+
+def _poly_from_exact(spec: FieldSpec, poly: dict) -> tuple[dict, int]:
+    """An OFExact polynomial as integer coordinates over one denominator."""
+    make = _ring(spec).make
+    den = math.lcm(*(c.den for c in poly.values()))
+    return {k: make(tuple(x * (den // c.den) for x in c.num))
+            for k, c in poly.items()}, den
+
+
+def _poly_to_exact(spec: FieldSpec, poly: tuple[dict, int]) -> dict:
+    coords = _ring(spec).coords
+    terms, den = poly
+    return {k: _exact(spec, coords(c), den) for k, c in terms.items()}
+
+
+def _div_pi(spec: FieldSpec, poly: tuple[dict, int], m: int) -> tuple[dict, int]:
+    """poly / pi^m, which must be integral: the first coefficient that is not
+    is reported with its monomial.  1/pi = -(g_1 + g_2 pi + ...) / g_0."""
+    ring = _ring(spec)
+    g, p = spec.eisenstein, spec.p
+    terms, den = poly
+    inv = ring.one
+    for _ in range(m):
+        inv = ring.mul(inv, ring.make(tuple(-c for c in g[1:])))
+    den *= g[0] ** m
+    pp = p ** _vp_int(den, p)
+    out = {}
+    for kk, c in terms.items():
+        c = ring.mul(inv, c)
+        if any(x % pp for x in ring.coords(c)):
+            raise IntegralityError(f"integrality failure at level {m}, monomial {kk}")
+        out[kk] = c
+    return _norm(spec, out, den)
 
 
 def eval_poly_exact(poly: dict, point: list[OFExact], spec: FieldSpec) -> OFExact:
@@ -146,70 +261,198 @@ def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
 
     pi^m S_m = w_m(x) + w_m(y) - sum_{j<m} pi^j S_j^(p^(m-j)), and the
     product analogue with w_m(x) * w_m(y); a failed exact division is
-    reported with the offending monomial.
+    reported with the offending monomial.  The recursion runs on integer
+    coordinates; each coefficient becomes an OFExact once, at the end.
     """
     if n < 1 or n > WITT_LENGTH_BOUND:
         raise ValueError(f"Witt length must be within 1..{WITT_LENGTH_BOUND}")
     p = spec.p
-    sums: list[dict] = []
-    prods: list[dict] = []
+    ring = _ring(spec)
+    neg_pis = [ring.make(tuple(-x for x in ring.coords(c)))
+               for c in _pi_powers(spec, n)]
+    sums: list[tuple[dict, int]] = []
+    prods: list[tuple[dict, int]] = []
     for m in range(n):
         wx = _ghost_poly(spec, n, m, 0)
         wy = _ghost_poly(spec, n, m, n)
-        targets = (_poly_add(wx, wy), _poly_mul(wx, wy))
+        targets = (_poly_add(spec, wx, wy), _poly_mul(spec, wx, wy))
         for target, acc_list in zip(targets, (sums, prods)):
             rem = target
             for j in range(m):
-                c = OFExact.pi(spec) ** j
-                rem = _poly_add(rem, _poly_neg(
-                    _poly_scale(_poly_pow(acc_list[j], p ** (m - j)), c)))
-            out = {}
-            for kk, c in rem.items():
-                shifted = c.times_pi(-m)
-                if not shifted.is_integral():
-                    raise IntegralityError(
-                        f"integrality failure at level {m}, monomial {kk}"
-                    )
-                out[kk] = shifted
-            acc_list.append(out)
-    return WittPolySet(spec, n, tuple(sums), tuple(prods))
+                rem = _poly_add(spec, rem, _poly_scale(
+                    spec, _poly_pow(spec, acc_list[j], p ** (m - j)), neg_pis[j]))
+            acc_list.append(_div_pi(spec, rem, m))
+    return WittPolySet(spec, n, tuple(_poly_to_exact(spec, s) for s in sums),
+                       tuple(_poly_to_exact(spec, s) for s in prods))
+
+
+# --- compiled evaluation -----------------------------------------------------
+
+def _trie(terms: dict, nvars: int) -> tuple[tuple[int, ...], tuple]:
+    """(order, root): a polynomial as a nested Horner trie.  A node at level
+    L holds one (e, child) pair per exponent e of variable order[L] among
+    its terms, increasing, where child holds those terms with that variable
+    factored out; the children of the last level are the coefficients.  Only
+    variables that occur are levels, fewest distinct exponents first so that
+    the upper levels stay narrow.  No S_m or P_m is constant."""
+    order = tuple(sorted((v for v in range(nvars) if any(k[v] for k in terms)),
+                         key=lambda v: len({k[v] for k in terms})))
+
+    def build(items: list, level: int):
+        if level == len(order):
+            return items[0][1]
+        groups: dict[int, list] = {}
+        for k, c in items:
+            groups.setdefault(k[order[level]], []).append((k, c))
+        return tuple((e, build(g, level + 1)) for e, g in sorted(groups.items()))
+
+    return order, build(list(terms.items()), 0)
+
+
+def _trie_terms(trie: tuple, nvars: int):
+    """Yield (exponent tuple, coefficient) for every term of a trie."""
+    order, root = trie
+    key = [0] * nvars
+
+    def walk(node, level):
+        if level == len(order):
+            yield tuple(key), node
+            return
+        for e, child in node:
+            key[order[level]] = e
+            yield from walk(child, level + 1)
+
+    yield from walk(root, 0)
+
+
+def _eval_trie(node, tabs: list, mul, add, level: int = 0):
+    """Value of a trie node: the sum over its exponents e of child * x^e,
+    with tabs[L] the power table of the variable x of level L."""
+    table = tabs[level]
+    last = level + 1 == len(tabs)
+    acc = None
+    for e, child in node:
+        v = child if last else _eval_trie(child, tabs, mul, add, level + 1)
+        if e:
+            v = mul(v, table[e])
+        acc = v if acc is None else add(acc, v)
+    return acc
+
+
+@dataclass(frozen=True)
+class _CompiledPolys:
+    """S_m and P_m as tries whose coefficients are integer coordinates over
+    one common denominator den; sizes[v] is the length of the power table of
+    variable v, enough for its largest exponent and for its ghost powers."""
+
+    spec: FieldSpec
+    den: int
+    sums: tuple
+    prods: tuple
+    sizes: tuple[int, ...]
+
+    def evaluate(self, trie: tuple, tables: list):
+        """The numerator over den of a trie's value at a point."""
+        order, root = trie
+        ring = _ring(self.spec)
+        return _eval_trie(root, [tables[v] for v in order], ring.mul, ring.add)
+
+    def tables(self, point: list) -> list[list]:
+        """One power table per variable: tables[v][e] = point[v]^e."""
+        ring = _ring(self.spec)
+        out = []
+        for x, size in zip(point, self.sizes):
+            t = [ring.one, x]
+            while len(t) < size:
+                t.append(ring.mul(t[-1], x))
+            out.append(t)
+        return out
+
+    def holds_at(self, point: list) -> bool:
+        """Whether w(S) = w(x) + w(y) and w(P) = w(x) w(y) hold exactly at a
+        point of 2n elements, compared on integers: with S_j = N_j / D,
+        D^(p^m) w_m(S) = sum_j pi^j N_j^(p^(m-j)) D^(p^m - p^(m-j))."""
+        ring = _ring(self.spec)
+        mul, add, of_int = ring.mul, ring.add, ring.of_int
+        p, n, den = self.spec.p, len(self.sums), self.den
+        pis = _pi_powers(self.spec, n)
+
+        def pth(x):
+            y = x
+            for _ in range(p - 1):
+                y = mul(y, x)
+            return y
+
+        tables = self.tables(point)
+        sums = [self.evaluate(t, tables) for t in self.sums]
+        prods = [self.evaluate(t, tables) for t in self.prods]
+        for m in range(n):
+            if m:  # N_j^(p^(m-j)) from N_j^(p^(m-1-j))
+                sums[:m] = [pth(x) for x in sums[:m]]
+                prods[:m] = [pth(x) for x in prods[:m]]
+            wx = wy = gs = gp = ring.zero
+            for j in range(m + 1):
+                e = p ** (m - j)
+                wx = add(wx, mul(pis[j], tables[j][e]))
+                wy = add(wy, mul(pis[j], tables[n + j][e]))
+                d = of_int(den ** (p ** m - e))
+                gs = add(gs, mul(mul(pis[j], sums[j]), d))
+                gp = add(gp, mul(mul(pis[j], prods[j]), d))
+            d = of_int(den ** p ** m)
+            if gs != mul(d, add(wx, wy)) or gp != mul(d, mul(wx, wy)):
+                return False
+        return True
+
+
+def _compile(ps: WittPolySet) -> _CompiledPolys:
+    spec, n = ps.spec, ps.length
+    ring = _ring(spec)
+    polys = [_poly_from_exact(spec, poly) for poly in ps.sums + ps.prods]
+    den = math.lcm(*(d for _, d in polys))
+    tries = []
+    for terms, d in polys:
+        scale = ring.of_int(den // d)
+        tries.append(_trie({k: ring.mul(scale, c) for k, c in terms.items()},
+                           2 * n))
+    sizes = [1 + max([spec.p ** (n - 1 - v % n)]
+                     + [k[v] for terms, _ in polys for k in terms])
+             for v in range(2 * n)]
+    return _CompiledPolys(spec, den, tuple(tries[:n]), tuple(tries[n:]),
+                          tuple(sizes))
+
+
+@lru_cache(maxsize=None)
+def _compiled_polys(n: int, spec: FieldSpec) -> _CompiledPolys:
+    return _compile(witt_polys(n, spec))
 
 
 @lru_cache(maxsize=None)
 def _reduced_polys(n: int, spec: FieldSpec) -> tuple[list[dict], list[dict]]:
     """S/P coefficients reduced to F_p residues (vanishing terms dropped)."""
-    ps = witt_polys(n, spec)
-    red_s: list[dict] = []
-    red_p: list[dict] = []
-    for polys, red in ((ps.sums, red_s), (ps.prods, red_p)):
-        for poly in polys:
+    cp = _compiled_polys(n, spec)
+    p, coords = spec.p, _ring(spec).coords
+    inv = pow(cp.den, -1, p)
+    red: tuple[list[dict], list[dict]] = ([], [])
+    for tries, out in zip((cp.sums, cp.prods), red):
+        for trie in tries:
             d = {}
-            for kk, c in poly.items():
-                r = c.residue()
+            for kk, c in _trie_terms(trie, 2 * n):
+                r = coords(c)[0] * inv % p
                 if r:
                     d[kk] = r
-            red.append(d)
-    return red_s, red_p
+            out.append(d)
+    return red
 
 
 def ghost_trials(spec: FieldSpec, n: int, trials: int, rng: random.Random) -> int:
     """How many of trials random integral points (coordinates drawn from
     rng in -4..4) satisfy w(S) = w(x) + w(y) and w(P) = w(x) * w(y)
     exactly in every ghost coordinate of length n."""
-    ps = witt_polys(n, spec)  # integrality is enforced in construction
-    good = 0
-    for _ in range(trials):
-        pt = [OFExact.make(spec, [rng.randint(-4, 4) for _ in range(spec.e_F)])
-              for _ in range(2 * n)]
-        xs, ys = pt[:n], pt[n:]
-        sums = [eval_poly_exact(ps.sums[m], pt, spec) for m in range(n)]
-        prods = [eval_poly_exact(ps.prods[m], pt, spec) for m in range(n)]
-        gx, gy = ghost_map(spec, xs), ghost_map(spec, ys)
-        gs, gp = ghost_map(spec, sums), ghost_map(spec, prods)
-        if all(gs[m] == gx[m] + gy[m] and gp[m] == gx[m] * gy[m]
-               for m in range(n)):
-            good += 1
-    return good
+    cp = _compiled_polys(n, spec)  # integrality is enforced in construction
+    make = _ring(spec).make
+    return sum(cp.holds_at([make(tuple(rng.randint(-4, 4) for _ in range(spec.e_F)))
+                            for _ in range(2 * n)])
+               for _ in range(trials))
 
 
 # --- the perfected residue model ---------------------------------------------

@@ -51,12 +51,14 @@ from frobkit import (
     verify_intertwine,
     xi_iterate,
 )
-from frobkit.scalars import FieldSpec, OFExact
+from frobkit.scalars import FieldSpec
 from frobkit.series import PRESET_NAMES
 from frobkit.tower import imin
 from frobkit.witt import (
     _ghost_poly,
+    _pi_powers,
     _poly_add,
+    _poly_from_exact,
     _poly_mul,
     _poly_pow,
     _poly_scale,
@@ -163,18 +165,18 @@ def gauge_floor(mat, e0):
 
 def witt_symbolic_ok(spec, n) -> bool:
     """w_m(S(x,y)) = w_m(x) + w_m(y) and the product analogue, as exact
-    polynomial identities in 2n variables."""
+    polynomial identities in 2n variables (integer coordinates over one
+    denominator in lowest terms, so equal polynomials are equal pairs)."""
     ps = witt_polys(n, spec)
     for m in range(n):
         wx = _ghost_poly(spec, n, m, 0)
         wy = _ghost_poly(spec, n, m, n)
-        for polys, target in ((ps.sums, _poly_add(wx, wy)),
-                              (ps.prods, _poly_mul(wx, wy))):
-            acc: dict = {}
-            for j in range(m + 1):
-                c = OFExact.pi(spec) ** j
-                acc = _poly_add(acc, _poly_scale(
-                    _poly_pow(polys[j], spec.p ** (m - j)), c))
+        for polys, target in ((ps.sums, _poly_add(spec, wx, wy)),
+                              (ps.prods, _poly_mul(spec, wx, wy))):
+            acc = ({}, 1)
+            for j, c in enumerate(_pi_powers(spec, m + 1)):
+                acc = _poly_add(spec, acc, _poly_scale(spec, _poly_pow(
+                    spec, _poly_from_exact(spec, polys[j]), spec.p ** (m - j)), c))
             if acc != target:
                 return False
     return True

@@ -6,6 +6,7 @@ meaningful; vector arithmetic over the perfected residue model is then
 checked against the symbolic layer and on frozen examples.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,18 +14,24 @@ from fractions import Fraction
 
 import pytest
 
-from frobkit.errors import BudgetError
+from frobkit.errors import BudgetError, IntegralityError
 from frobkit.scalars import FieldSpec, OFExact, qp_spec
 from frobkit.series import eisenstein_preset, frob_preset
 from frobkit.witt import (
     PerfSeries,
     WittVec,
+    _compiled_polys,
+    _div_pi,
+    _ring,
+    _trie,
+    _trie_terms,
     check_E_reduction,
     e_reduction_report,
     eval_poly_exact,
     f_fixed_point,
     f_fixed_point_report,
     ghost_map,
+    ghost_trials,
     pi_shift,
     scalar_mul,
     teich,
@@ -40,6 +47,8 @@ Q2 = qp_spec(2)
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
 RAM3 = FieldSpec(3, (-3, 0, 1))  # pi^2 = 3
+Z6 = FieldSpec(3, (6, 1))  # pi = -6: S_m and P_m carry denominators 2^k
+CUBIC3 = FieldSpec(3, (3, 3, 0, 1))  # pi^3 = -3 pi - 3: the generic product
 
 ALL_SPECS = [Q2, Q3, Q5, RAM3]
 
@@ -138,6 +147,87 @@ def test_ghost_homomorphism_on_random_points(spec, n):
             assert gp[m] == gx[m] * gy[m]
 
 
+COMPILED_CASES = ([(s, n) for s in (Q2, Q3, RAM3, Z6) for n in (1, 2, 3, 4)]
+                  + [(CUBIC3, n) for n in (1, 2, 3)])
+BASE_NAMES = {Q2: "Z2", Q3: "Z3", RAM3: "Z3pi", Z6: "Z3-x+6", CUBIC3: "Z3-cubic"}
+
+
+def int_point(spec, coords):
+    return [_ring(spec).make(tuple(c)) for c in coords]
+
+
+@pytest.mark.parametrize("spec, n", COMPILED_CASES,
+                         ids=[f"{BASE_NAMES[s]}-{n}" for s, n in COMPILED_CASES])
+def test_compiled_evaluation_matches_exact_reference(spec, n):
+    """Each compiled S_m, P_m, read as its numerator over the common
+    denominator, equals eval_poly_exact at random integral points."""
+    ps = witt_polys(n, spec)
+    cp = _compiled_polys(n, spec)
+    assert (cp.den > 1) == (spec is Z6 and n > 1)
+    coords = _ring(spec).coords
+    den = ex(spec, cp.den)
+    rng = random.Random(100 * n + len(spec.eisenstein))
+    for _ in range(6):
+        pt = [[rng.randint(-4, 4) for _ in range(spec.e_F)] for _ in range(2 * n)]
+        tables = cp.tables(int_point(spec, pt))
+        exact = [ex(spec, c) for c in pt]
+        for polys, tries in ((ps.sums, cp.sums), (ps.prods, cp.prods)):
+            for poly, trie in zip(polys, tries):
+                got = ex(spec, list(coords(cp.evaluate(trie, tables))))
+                assert got == eval_poly_exact(poly, exact, spec) * den
+
+
+@pytest.mark.parametrize("spec", [Q3, RAM3, Z6])
+@pytest.mark.parametrize("which", ["sums", "prods"])
+def test_int_ghost_check_rejects_a_corrupted_coefficient(spec, which):
+    """One coefficient of S_2 or P_2 off by one: at points with no zero
+    coordinate its monomial does not vanish, so w_2 of the sum or product
+    is off by pi^2 times a nonzero value and every trial must fail."""
+    n = 3
+    cp = _compiled_polys(n, spec)
+    ring = _ring(spec)
+    tries = list(getattr(cp, which))
+    terms = dict(_trie_terms(tries[2], 2 * n))
+    key = max(terms)
+    terms[key] = ring.add(terms[key], ring.one)
+    tries[2] = _trie(terms, 2 * n)
+    bad = dataclasses.replace(cp, **{which: tuple(tries)})
+    rng = random.Random(53)
+    nonzero = [c for c in range(-4, 5) if c]
+    for _ in range(20):
+        pt = int_point(spec, [[rng.choice(nonzero) for _ in range(spec.e_F)]
+                              for _ in range(2 * n)])
+        assert cp.holds_at(pt)
+        assert not bad.holds_at(pt)
+
+
+@pytest.mark.parametrize("spec, max_len", [(Z6, 4), (CUBIC3, 3)])
+def test_ghost_trials_exact_with_denominators_and_generic_g(spec, max_len):
+    rng = random.Random(59)
+    for n in range(1, max_len + 1):
+        assert ghost_trials(spec, n, 10, rng) == 10
+
+
+# sha256 of random.Random(0).getstate() after ghost_trials(spec, n, 4, rng)
+# on the two witt-selftest bases, recorded before the compiled evaluation:
+# witt-selftest threads one stream through all its trials, so its reports
+# depend on each trial drawing exactly 2 n e_F integers
+RNG_AFTER_TRIALS = {
+    ((-3, 1), 1): "d40254d43cb25a37", ((-3, 1), 2): "be39586c9240d033",
+    ((-3, 1), 3): "2dc6b459fa10e1aa", ((-3, 1), 4): "f7da783dc8311bcd",
+    ((-3, 0, 1), 1): "be39586c9240d033", ((-3, 0, 1), 2): "f7da783dc8311bcd",
+    ((-3, 0, 1), 3): "f46063196dc897e1", ((-3, 0, 1), 4): "e1740c7f3619ec7c",
+}
+
+
+@pytest.mark.parametrize("g, n", list(RNG_AFTER_TRIALS))
+def test_ghost_trials_rng_stream_is_pinned(g, n):
+    rng = random.Random(0)
+    assert ghost_trials(FieldSpec(3, g), n, 4, rng) == 4
+    state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+    assert state == RNG_AFTER_TRIALS[(g, n)]
+
+
 # sha256 over (key, coefficient to_json) of S_0..S_{n-1} then P_0..P_{n-1},
 # keys in sorted order; recorded before the integer exact layer
 POLY_DIGESTS = {
@@ -163,6 +253,14 @@ def test_witt_polys_are_pinned(spec, n):
             for key in sorted(poly):
                 h.update(json.dumps([list(key), poly[key].to_json()]).encode())
     assert h.hexdigest() == POLY_DIGESTS[(spec, n)]
+
+
+def test_division_by_pi_names_the_first_non_integral_monomial():
+    # (3 x_0 + y_0 + 5 x_0^2) / 3 over Z_3: y_0 / 3 is the first of the two
+    # coefficients off O_F
+    with pytest.raises(IntegralityError,
+                       match=r"^integrality failure at level 1, monomial \(0, 1\)$"):
+        _div_pi(Q3, ({(1, 0): 3, (0, 1): 1, (2, 0): 5}, 1), 1)
 
 
 def test_integrality_holds_for_all_specs():
