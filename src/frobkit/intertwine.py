@@ -17,17 +17,13 @@ direct composition as an independent oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import PrecisionError, SpecMismatchError
 from .scalars import DEFAULT_PREC, FElement, OFExact, of_root
-from .series import (
-    FrobLift,
-    USeries,
-    _as_felement,
-    _exact_zero,
-    s_compose,
-)
+from .series import FrobLift, USeries, _as_felement, s_compose
 
 
 @dataclass(frozen=True)
@@ -127,20 +123,9 @@ class IntertwineResult:
         }
 
 
-def _dot(xs, ys) -> FElement | None:
-    """sum x_k * y_k over the pairs with no exact zero (None) in them, as a
-    series product sums its terms; None when no pair is left."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if x is not None and y is not None:
-            t = x * y
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def _live(x: USeries) -> list:
-    """The coefficients of x, None for an exact zero."""
-    return [None if m is None else x.coeff(n) for n, m in enumerate(x.labels)]
+def _dot(xs, ys) -> FElement:
+    """sum x_k * y_k in order of k, as a series product sums its terms."""
+    return reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
@@ -177,17 +162,16 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     if mu0.is_zero_at_prec() or mu0.vlow() != 0:
         raise ValueError("mu0 must be a unit")
 
-    a = _live(f.as_series(absprec=n_start))[2:]  # a_2..a_p
+    a = f.as_series(absprec=n_start).coeffs[2:]  # a_2..a_p
     f2s = f2.as_series(absprec=n_start).truncate(M + s)
     powers = [f2s]
     for _ in range(2, M):
         powers.append((powers[-1] * f2s).truncate(M + s))
     # by_n[n][k - 1] = [f2^k]_n
-    by_n = list(zip(*(_live(pw) for pw in powers)))
+    by_n = list(zip(*(pw.coeffs for pw in powers)))
 
     xi: list = [FElement.zero_at(spec, n_start), mu0]
     cols: list[list] = [[] for _ in range(2, spec.p + 1)]  # [xi^i]_m, m < d
-    exact_zero = _exact_zero(spec)
     losses: list[int] = []
     if s > 1:
         s_el = OFExact.make(spec, s)
@@ -196,7 +180,7 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     for d in range(2, M + 1):
         n = d + s - 1
         # [xi^(i-1)]_m for m <= n with xi_m = 0 for m >= d, from i = 2 on
-        prev = xi + [None] * s
+        prev = xi + [FElement.zero(spec)] * s
         at_n = []  # [xi^i]_n, i = 2..p
         for col in cols:
             # entries below d are final; those from d to n are formed anew
@@ -205,8 +189,7 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
             at_n.append(prev[n])
         lhs = _dot(a, at_n)
         rhs = _dot(xi[1:], by_n[n])
-        lam = ((exact_zero if lhs is None else lhs)
-               - (exact_zero if rhs is None else rhs))
+        lam = lhs - rhs
         if s == 1:
             div = FElement.from_exact(f.coeffs[0] - f2.coeffs[0] ** d, n_start)
         else:
@@ -228,9 +211,10 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
         raise AssertionError(
             "theorem violated: v(a_s) = v(pi) guarantees an integral xi"
         )
-    achieved = min((c.absprec for c in xi[1:]), default=n_start)
-    return IntertwineResult(USeries.make(spec, xi, absprec=n_start), mu0, s,
-                            integral, (M, min(N, achieved)), tuple(losses))
+    xi = USeries.make(spec, xi, absprec=n_start)
+    achieved = min((m for m in xi.labels[1:] if m is not None), default=n_start)
+    return IntertwineResult(xi, mu0, s, integral, (M, min(N, achieved)),
+                            tuple(losses))
 
 
 def solve_intertwiner_all(f: FrobLift, f2: FrobLift, M: int,

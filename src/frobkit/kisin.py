@@ -217,7 +217,7 @@ def verify_height(m: KisinModule) -> bool:
     """
     det = mat_det(m.A)
     if det.is_zero_at_prec():
-        if all(c.absprec >= 1 for c in det.coeffs):
+        if all(lab is None or lab >= 1 for lab in det.labels):
             raise ValueError("Frobenius matrix is singular at available precision")
         raise IndeterminateError("determinant carries no information mod pi")
     if det.cap is not None and det.cap < (m.d * m.r + 1) * m.E.e0 + 1:
@@ -236,7 +236,7 @@ def verify_height(m: KisinModule) -> bool:
     for row in mat_adj(m.A):
         for b in row:
             if b.is_zero_at_prec():
-                if any(c.absprec < 1 for c in b.coeffs):
+                if any(lab is not None and lab < 1 for lab in b.labels):
                     raise IndeterminateError(
                         "adjugate entry undecidable at available precision"
                     )
@@ -389,7 +389,7 @@ def check_counterexample(f: FrobLift, E: EisensteinE, A: USeries, l: int) -> boo
     diff = lhs - frobenius(A, f)
     if not diff.is_zero_at_prec():
         return False
-    if any(c.absprec < 1 for c in diff.coeffs):
+    if any(lab is not None and lab < 1 for lab in diff.labels):
         raise IndeterminateError("identity check ran out of precision")
     return True
 
@@ -494,8 +494,7 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
         va1 = m.r + 4 if f.a1.is_zero() else min(f.a1.val(), m.r + 4)
         u_order = e0 * spec.p * (max_n * (va1 - m.r + max(v0, 1)) + 10)
     tprec = max(
-        [c.absprec for row in m.A for x in row for c in x.coeffs
-         if not c.is_zero_at_prec()],
+        [lab for row in m.A for x in row for u, lab in zip(x.units, x.labels) if u[0]],
         default=DEFAULT_PREC,
     )
     tprec = max(tprec, DEFAULT_PREC) + spec.e_F + 2

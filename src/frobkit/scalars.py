@@ -14,8 +14,11 @@ Three element flavours are provided:
                construction and its ghost checks.
 * OFElement -- an integral element known modulo pi^prec.  Coefficient i of
                the basis vector is carried modulo p**ceil((prec-i)/e_F).
-* FElement  -- unit * pi^shift with an OFElement unit, covering F = O_F[1/p]
-               with possibly negative shift.
+* FElement  -- pi^low * unit known modulo pi^label, covering F = O_F[1/p]:
+               the fields of one USeries coefficient slot, with label None
+               for an exact zero.  Its arithmetic runs on those ints; the
+               OFElement unit is only a read-only view for the code outside
+               this layer.
 
 Multiplication propagates precision with valuation awareness: for a known
 mod pi^Na and b known mod pi^Nb the product is known mod
@@ -527,10 +530,7 @@ class OFElement:
         return tuple(out)
 
     def to_json(self) -> dict:
-        # trailing zero digits carry nothing beyond prec; dropping them
-        # keeps exact zeros (huge sentinel prec) from exploding the output
-        if self.is_zero_at_prec():
-            return {"digits": [], "prec": self.prec}
+        # trailing zero digits carry nothing beyond prec, so they are dropped
         ds = list(self.digits())
         while ds and ds[-1] == 0:
             ds.pop()
@@ -550,20 +550,13 @@ def _ofelt_zero(spec: FieldSpec, prec: int) -> "OFElement":
     return OFElement(spec, prec, (0,) * spec.e_F)
 
 
-@lru_cache(maxsize=None)
-def _felt_zero(spec: FieldSpec, absprec: int) -> "FElement":
-    # a unit's prec is never below 0, so a label below 0 rides on the shift
-    if absprec < 0:
-        return FElement(_ofelt_zero(spec, 0), absprec)
-    return FElement(_ofelt_zero(spec, absprec), 0)
-
-
 # --- coefficient arithmetic on ints ------------------------------------------
 #
 # A coefficient as (shift, unit, label): its valuation (the label for a
-# zero), the coordinates of its unit, and its precision label.  FElement
-# arithmetic and the series kernels both run on such triples, and _canon
-# brings every result to the one normal form.
+# zero, 0 for an exact zero), the coordinates of its unit, and its
+# precision label (None: exactly zero).  These are the fields of an
+# FElement and of a USeries slot, both run their arithmetic on them, and
+# _canon brings every result to the one normal form.
 
 def _canon(spec: FieldSpec, s: int, vec, m: int) -> tuple[int, tuple]:
     """(shift, unit) of pi^s * vec known modulo pi^m, vec any integral
@@ -571,15 +564,27 @@ def _canon(spec: FieldSpec, s: int, vec, m: int) -> tuple[int, tuple]:
     its valuation and its unit reduced as OFElement reduces (whose first
     coordinate is never 0)."""
     prec = m - s
-    if spec.e_F > 1:
-        unit = OFElement._norm(spec, prec, vec)
-        v = unit.val()
+    p, e = spec.p, spec.e_F
+    if e > 1:
+        ks = [spec.coeff_modulus_exp(prec, i) for i in range(e)]
+        vec = [c % _pk(p, k) for c, k in zip(_reduce_poly(spec, vec), ks)]
+        if vec[0] % p:
+            return s, tuple(vec)
+        v = min((e * _vp_int(c, p) + i for i, c in enumerate(vec) if c), default=None)
         if v is None:
-            return m, unit.vec
+            return m, tuple(vec)
         if v:
-            unit = unit.div_pi(v)
-        return s + v, unit.vec
-    p = spec.p
+            # divide by pi^v as div_pi does: with c_0 = p*w*t,
+            # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
+            g = spec.eisenstein
+            mod = _pk(p, ks[0])
+            w_inv = pow(g[0] // p, -1, mod)
+            for _ in range(v):
+                t = vec[0] // p * w_inv % mod
+                vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
+            vec = [c % _pk(p, spec.coeff_modulus_exp(prec - v, i))
+                   for i, c in enumerate(vec)]
+        return s + v, tuple(vec)
     c = vec[0] % _pk(p, prec) if prec > 0 else 0
     if not c:
         return m, (0,)
@@ -641,33 +646,22 @@ def _mul1(spec: FieldSpec, s1, u1, n1, s2, u2, n2):
     return (*_canon(spec, s1 + s2, vec, n), n)
 
 
-def _felt(spec: FieldSpec, s: int, unit, m: int) -> "FElement":
-    """The FElement of a (shift, unit, label) triple."""
-    if not unit[0]:
-        return _felt_zero(spec, m)
-    return FElement(OFElement(spec, m - s, tuple(unit)), s)
-
-
 @dataclass(frozen=True, slots=True)
 class FElement:
-    """unit * pi^shift with v_F(unit) = 0, or a canonical zero-at-precision."""
+    """pi^low * unit known modulo pi^label, stored as a USeries slot is:
+    low is v_F of the value, or the label of a zero (0 for an exact zero);
+    coords are the unit's coordinates, reduced as OFElement reduces them
+    (all 0 for a zero); label None means exactly zero."""
 
-    unit: OFElement
-    shift: int
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.unit.spec
+    spec: FieldSpec
+    low: int
+    coords: tuple[int, ...]
+    label: int | None
 
     @classmethod
     def make(cls, unit: OFElement, shift: int = 0) -> "FElement":
         m = unit.prec + shift
-        return _felt(unit.spec, *_canon(unit.spec, shift, unit.vec, m), m)
-
-    def _triple(self) -> tuple:
-        """(shift, unit, label), with the label as shift of a zero."""
-        m = self.unit.prec + self.shift
-        return self.shift if self.unit.vec[0] else m, self.unit.vec, m
+        return cls(unit.spec, *_canon(unit.spec, shift, unit.vec, m), m)
 
     @classmethod
     def from_int(cls, spec: FieldSpec, n: int, prec: int = DEFAULT_PREC) -> "FElement":
@@ -675,28 +669,48 @@ class FElement:
 
     @classmethod
     def one(cls, spec: FieldSpec, prec: int = DEFAULT_PREC) -> "FElement":
-        return cls(OFElement.one(spec, prec), 0)
+        return cls.from_int(spec, 1, prec)
+
+    @classmethod
+    def zero(cls, spec: FieldSpec) -> "FElement":
+        """The exact zero."""
+        return cls(spec, 0, (0,) * spec.e_F, None)
 
     @classmethod
     def zero_at(cls, spec: FieldSpec, absprec: int) -> "FElement":
-        return _felt_zero(spec, absprec)
+        return cls(spec, absprec, (0,) * spec.e_F, absprec)
 
     @classmethod
     def from_exact(cls, x: OFExact, absprec: int = DEFAULT_PREC) -> "FElement":
-        """Materialize an exact element, known modulo pi^absprec."""
+        """Materialize an exact element, known modulo pi^absprec; zero stays
+        exact."""
         v = x.val()
-        if v is None or v >= absprec:
+        if v is None:
+            return cls.zero(x.spec)
+        if v >= absprec:
             return cls.zero_at(x.spec, absprec)
-        unit = x.times_pi(-v)
-        return cls(unit.at_prec(absprec - v), v)
-
-    def is_zero_at_prec(self) -> bool:
-        return self.unit.is_zero_at_prec()
+        return cls(x.spec, v, x.times_pi(-v).at_prec(absprec - v).vec, absprec)
 
     @property
-    def absprec(self) -> int:
-        """Value is known modulo pi^absprec."""
-        return self.unit.prec + self.shift
+    def shift(self) -> int:
+        """The exponent in unit * pi^shift: v_F of a visible value; for a
+        zero, the part of its label below 0."""
+        return self.low if self.coords[0] else min(self.label or 0, 0)
+
+    @property
+    def unit(self) -> OFElement:
+        """The unit, known modulo pi^(absprec - shift); an exact zero reads
+        as known modulo pi^0."""
+        prec = 0 if self.label is None else self.label - self.shift
+        return OFElement(self.spec, prec, self.coords)
+
+    def is_zero_at_prec(self) -> bool:
+        return not self.coords[0]
+
+    @property
+    def absprec(self) -> int | float:
+        """Value is known modulo pi^absprec (math.inf when exact)."""
+        return math.inf if self.label is None else self.label
 
     def val(self) -> int | AtLeast:
         if self.is_zero_at_prec():
@@ -704,7 +718,7 @@ class FElement:
         return self.shift
 
     def vlow(self) -> int:
-        return self._triple()[0]
+        return self.low
 
     def is_integral(self) -> bool:
         """True when the value is in O_F as far as the precision can tell."""
@@ -713,23 +727,28 @@ class FElement:
     def __add__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
         spec = self.spec
-        return _felt(spec, *_add1(spec, *self._triple(), *other._triple()))
+        return FElement(spec, *_add1(spec, self.low, self.coords, self.label,
+                                     other.low, other.coords, other.label))
 
     def __sub__(self, other: "FElement") -> "FElement":
         return self + (-other)
 
     def __neg__(self) -> "FElement":
-        return _felt(self.spec, *_neg1(self.spec, *self._triple()))
+        spec = self.spec
+        return FElement(spec, *_neg1(spec, self.low, self.coords, self.label))
 
     def __mul__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
         spec = self.spec
-        return _felt(spec, *_mul1(spec, *self._triple(), *other._triple()))
+        return FElement(spec, *_mul1(spec, self.low, self.coords, self.label,
+                                     other.low, other.coords, other.label))
 
     def __truediv__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
         if other.is_zero_at_prec():
             raise PrecisionError("precision exhausted: divisor indistinguishable from 0")
+        if self.label is None:
+            return self
         return FElement.make(self.unit * other.unit.inverse(),
                              self.shift - other.shift)
 
@@ -739,11 +758,12 @@ class FElement:
         return FElement.make(self.unit ** n, self.shift * n)
 
     def cap_absprec(self, absprec: int) -> "FElement":
-        """Truncate the precision label to at most absprec."""
+        """Truncate the precision label to at most absprec, or to the
+        valuation of a visible value above it."""
         if self.absprec <= absprec:
             return self
-        return FElement.make(self.unit.at_prec(max(absprec - self.shift, 0)),
-                             self.shift)
+        m = max(absprec, self.shift)
+        return FElement(self.spec, *_canon(self.spec, self.shift, self.coords, m), m)
 
     def congruent(self, other: "FElement", k: int) -> bool:
         """True iff self - other is zero mod pi^k (raises if undecidable)."""

@@ -5,8 +5,9 @@ precision (Caruso, Roe, Vaccon, "Tracking p-adic precision", 2014): per
 coefficient a shift (v_F(c_n), or the label of a zero), its unit's
 coordinates on 1, pi, ..., pi^(e_F-1) (all 0 for a zero), and a label (c_n
 is known modulo pi^label; None: c_n is exactly zero).  These are the
-fields of the FElement that coeff(n) hands out, and every operation gives
-the fields the matching FElement operation would.  cap = None means the
+fields of the FElement that coeff(n) hands out, exact slots included, and
+every operation gives the fields the matching FElement operation would,
+by running the same integer arithmetic on them.  cap = None means the
 remaining coefficients are exactly zero (the series is a polynomial);
 cap = L means coefficients of u^L and beyond are unknown integral tails.
 Unknown tails enter arithmetic as label-0 zeros, so the precision labels
@@ -34,39 +35,27 @@ from .scalars import (
     OFExact,
     _add1,
     _canon,
-    _felt,
     _mul1,
     _neg1,
     _pk,
     _times_pi,
 )
 
-# the label of an exact zero once it leaves a series as an FElement, which
-# has no exact flag; an FElement zero at or above it enters one as exact
-_EXACT_ZERO_PREC = 10 ** 6
-
-
-def _exact_zero(spec: FieldSpec) -> FElement:
-    return FElement.zero_at(spec, _EXACT_ZERO_PREC)
-
-
 def _as_felement(spec: FieldSpec, c, absprec: int) -> FElement:
+    """An int, Fraction, OFExact, OFElement or FElement coefficient as an
+    FElement; exact data is known modulo pi^absprec, and zero stays exact."""
     if isinstance(c, FElement):
         return c
     if isinstance(c, OFElement):
         return FElement.make(c)
-    ex = c if isinstance(c, OFExact) else OFExact.make(spec, c)
-    return _exact_zero(spec) if ex.is_zero() else FElement.from_exact(ex, absprec)
+    return FElement.from_exact(c if isinstance(c, OFExact) else OFExact.make(spec, c),
+                               absprec)
 
 
 def _flat(spec: FieldSpec, c, absprec: int):
-    """(shift, unit, label) of an int, Fraction, OFExact, OFElement or
-    FElement coefficient; exact data is known modulo pi^absprec."""
-    if not isinstance(c, FElement):
-        c = _as_felement(spec, c, absprec)
-    if c.absprec >= _EXACT_ZERO_PREC and c.is_zero_at_prec():
-        return 0, (0,) * spec.e_F, None
-    return c._triple()
+    """(shift, unit, label) of a coefficient, as _as_felement reads it."""
+    c = _as_felement(spec, c, absprec)
+    return c.low, c.coords, c.label
 
 
 def _window(x: "USeries", length: int):
@@ -203,7 +192,7 @@ def _image(op: _Operand, length: int, stride: int, pk: int, nbytes: int) -> int:
 def _product(x: "USeries", y: "USeries", length: int,
              cap: int | None) -> "USeries":
     """Coefficients 0..length-1 of x*y, identical to summing the FElement
-    products x_i * y_j in any order."""
+    products x_i * y_j in any order (an exact product adds nothing)."""
     spec = x.spec
     e = spec.e_F
     opa, opb = _operand(x), _operand(y)
@@ -279,12 +268,10 @@ class USeries:
         """Coefficient of u^n; beyond the list it is an exact zero for
         polynomials and a fully unknown integral tail otherwise."""
         if n < len(self.labels):
-            m = self.labels[n]
-            if m is not None:
-                return _felt(self.spec, self.shifts[n], self.units[n], m)
-        elif self.cap is not None:
+            return FElement(self.spec, self.shifts[n], self.units[n], self.labels[n])
+        if self.cap is not None:
             return FElement.zero_at(self.spec, 0)
-        return _exact_zero(self.spec)
+        return FElement.zero(self.spec)
 
     @property
     def coeffs(self) -> tuple[FElement, ...]:
@@ -381,7 +368,7 @@ class USeries:
                        self.labels[k:], cap)
 
     def to_json(self) -> dict:
-        cs = [c.cap_absprec(min(c.absprec, 64)).to_json() for c in self.coeffs]
+        cs = [c.cap_absprec(64).to_json() for c in self.coeffs]
         return {"coeffs": cs, "cap": self.cap}
 
     def __repr__(self) -> str:
@@ -530,7 +517,7 @@ def wdeg(x: USeries) -> int | None:
     return None
 
 
-def _poly_longdiv(x: USeries, E: USeries) -> tuple[USeries, list[FElement]]:
+def _poly_longdiv(x: USeries, E: USeries) -> tuple[USeries, USeries]:
     """Exact-tail division x = q*E + r by monic E, top down."""
     spec = x.spec
     e0 = len(E) - 1
@@ -543,10 +530,10 @@ def _poly_longdiv(x: USeries, E: USeries) -> tuple[USeries, list[FElement]]:
         neg = _neg1(spec, *c)
         for i in range(e0 + 1):
             rem[m + i] = _add1(spec, *rem[m + i], *_mul1(spec, *neg, *ecs[i]))
-    return _series(spec, q, None), list(_series(spec, rem[:e0], None).coeffs)
+    return _series(spec, q, None), _series(spec, rem[:e0], None)
 
 
-def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElement]]:
+def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, USeries]:
     """x = q*E + r with deg r < e0, honest labels under unknown tails.
 
     For a capped x the quotient is found as the fixed point of
@@ -574,16 +561,15 @@ def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, list[FElem
             break
         q = q_new
     return (USeries(spec, q_new.shifts, q_new.units, q_new.labels, L),
-            list(y.coeffs[:e0]))
+            USeries(spec, y.shifts[:e0], y.units[:e0], y.labels[:e0], None))
 
 
-def _divisible_verdict(rem: list[FElement]) -> bool:
+def _divisible_verdict(rem: USeries) -> bool:
     """True: remainder is zero with >= 1 digit of confidence everywhere.
     False: some coefficient is visibly nonzero.  Otherwise indeterminate."""
-    if any(not c.is_zero_at_prec() for c in rem):
+    if not rem.is_zero_at_prec():
         return False
-    weak = [c.absprec for c in rem if c.absprec < 1]
-    if weak:
+    if any(m is not None and m < 1 for m in rem.labels):
         raise IndeterminateError(
             "remainder vanishes only because precision is exhausted"
         )

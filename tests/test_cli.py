@@ -6,6 +6,7 @@ stdout/stderr split of the installed entry point.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -326,3 +327,16 @@ def test_one_process_matches_separate_runs(capsys):
                               capture_output=True, text=True, timeout=60)
         assert got == (proc.returncode, proc.stdout, proc.stderr)
     assert [rc for rc, _, _ in in_process] == [1, 0, 1]
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py wraps frobkit's functions, operators and to_json
+    # methods by name for `bench/run.py --trace 1`; installing it raises
+    # once one of those names is gone from its module or class body
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import frobkit.cli; "
+            "from tracing import Tracer; Tracer().install()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

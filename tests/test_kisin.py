@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobkit as fk
 import frobkit.kisin as kisin
@@ -763,7 +765,7 @@ def test_xi_report_json_deterministic():
         assert g is None or isinstance(g, int) or set(g) == {"at_least"}
 
 
-def test_xi_report_exact_zeros_stay_exact(monkeypatch):
+def test_xi_report_keeps_exact_coefficients_exact(monkeypatch):
     # the first `kisin xi` job of the xi-rank2 benchmark stream at seed 1:
     # Y = N / det(A0)^6 scales exact zeros of N by pi^-6, and an exact zero
     # stays exact instead of turning into a zero labelled 10**6 - 6
@@ -787,3 +789,42 @@ def test_xi_report_exact_zeros_stay_exact(monkeypatch):
             else:
                 assert y.coeff(n).absprec < 999000
     assert exact > 0
+
+
+def _rank1_xi_module(rng, absprec):
+    E = eisenstein_preset(Q3, "classical")
+    f = FrobLift.make(Q3, [9, 0, 1])
+    unit = [rng.choice((1, 2)) + 3 * rng.randrange(3),
+            rng.randrange(3), rng.randrange(3)]
+    A = mat_mul(mat_make(Q3, [[unit]], absprec=absprec),
+                diag_with_E(Q3, E, 1, [0], absprec=absprec))
+    return KisinModule(Q3, f, E, 1, A)
+
+
+def _label_not_lower(old, new) -> bool:
+    """new >= old for labels, an exact None above every number."""
+    return new is None or (old is not None and new >= old)
+
+
+@given(rank=st.sampled_from((1, 2)), seed=st.integers(0, 10 ** 6),
+       max_n=st.integers(1, 3), N=st.integers(6, 16), dN=st.integers(0, 6),
+       M=st.integers(8, 24), dM=st.integers(0, 8))
+@settings(max_examples=16, deadline=None)
+def test_xi_labels_never_drop_when_N_or_M_rise(rank, seed, max_n, N, dN, M, dM):
+    # the same integer module read at absprec N and N + dN, iterated to
+    # u-order M and M + dM: every label of den and of the entries of Y that
+    # both runs hold is at least as high in the second
+    make = _rank1_xi_module if rank == 1 else xi_test_module
+    reps = []
+    for absprec, u_order in ((N, M), (N + dN, M + dM)):
+        try:
+            reps.append(xi_iterate(make(random.Random(seed), absprec), max_n,
+                                   u_order=u_order))
+        except (ArithmeticError, IndeterminateError):
+            return
+    lo, hi = reps
+    assert _label_not_lower(lo.den.label, hi.den.label)
+    for row_lo, row_hi in zip(lo.Y, hi.Y, strict=True):
+        for y_lo, y_hi in zip(row_lo, row_hi, strict=True):
+            for a, b in zip(y_lo.labels, y_hi.labels):
+                assert _label_not_lower(a, b)

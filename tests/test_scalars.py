@@ -21,7 +21,8 @@ from frobkit import (
     of_val,
     qp_spec,
 )
-from frobkit.scalars import OFExact, _pk, field_spec
+from frobkit.scalars import OFExact, _canon, _pk, field_spec
+from frobkit.series import USeries
 
 # Oracle: schoolbook rational-polynomial arithmetic mod g, written bottom-up
 # so it shares no code path with the package reduction.
@@ -454,9 +455,9 @@ def test_zero_at_prec_absorbs():
     assert isinstance(z.val(), AtLeast) and z.val().bound == 5
 
 
-def test_exact_zero_product_builds_no_huge_power():
-    # a zero product is reduced by nothing: the 10**6 label of an exact
-    # zero must not turn into a 10**6-digit power of p
+def test_zero_product_at_a_huge_label_builds_no_huge_power():
+    # a zero product is reduced by nothing: a label of 10**6 must not turn
+    # into a 10**6-digit power of p
     spec = qp_spec(3)
     z = OFElement.zero(spec, 10**6)
     u = OFElement.from_int(spec, 7, 20)
@@ -522,3 +523,60 @@ def test_from_exact_materialization():
     y = OFExact.make(spec, [Fraction(1, 3)])  # val -2
     fy = FElement.from_exact(y, 10)
     assert fy.shift == -2 and fy.absprec == 10
+
+
+@pytest.mark.parametrize("spec", [qp_spec(3), FieldSpec(3, (-3, 0, 1))],
+                         ids=["Z3", "Z3pi"])
+def test_scaling_by_pi_inverse_keeps_an_exact_coefficient_exact(spec):
+    # an exact coefficient as a series hands it out, scaled by pi^-k: the
+    # label stays None instead of reading a huge number less k
+    z = USeries.make(spec, [0, 1]).coeff(0)
+    assert z.label is None and z == FElement.zero(spec)
+    x = FElement.from_int(spec, 5, 8)
+    for k in range(1, 7):
+        pik = FElement.from_exact(OFExact.pi(spec) ** k, 10)
+        inv = FElement.from_exact(OFExact.pi(spec) ** -k, 10)
+        assert inv.shift == -k
+        for got in (z * inv, inv * z, z / pik):
+            assert got.label is None and got == z
+        assert USeries.make(spec, [z * inv, 1]).labels[0] is None
+        assert USeries.make(spec, [0, 1]).scalar_mul(inv).labels[0] is None
+        assert USeries.make(spec, [z, x]).scalar_mul(inv).labels[0] is None
+    assert z + x == x + z == x and z - x == -x
+    assert z + z == z * x == z and z.is_integral()
+    assert z.cap_absprec(64) == FElement.zero_at(spec, 64)
+    assert z.cap_absprec(64).to_json() == {"digits": [], "prec": 64, "shift": 0}
+    assert USeries.make(spec, [0, 1]).to_json()["coeffs"][0] == {
+        "digits": [], "prec": 64, "shift": 0}
+    with pytest.raises(PrecisionError):
+        x / z
+
+
+def old_canon(spec, s, vec, m):
+    """(shift, unit) by the OFElement route: reduce as OFElement, read the
+    valuation, divide the unit by pi^v with div_pi."""
+    unit = OFElement._norm(spec, m - s, vec)
+    v = unit.val()
+    if v is None:
+        return m, unit.vec
+    if v:
+        unit = unit.div_pi(v)
+    return s + v, unit.vec
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3, (-3, 0, 1)), FieldSpec(2, (2, 2, 1)),
+                                  FieldSpec(3, (3, 3, 0, 1))],
+                         ids=["Z3pi", "Z2-x2+2x+2", "Z3-x3+3x+3"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_canon_matches_the_ofelement_route(spec, data):
+    # any number of coordinates (a product has 2e - 1 before reduction mod
+    # g), with large or negative entries and factors of p that put the
+    # valuation anywhere below the label
+    e, p = spec.e_F, spec.p
+    n = data.draw(st.integers(1, 2 * e - 1))
+    vec = [data.draw(st.integers(-p ** 30, p ** 30)) * p ** data.draw(st.integers(0, 8))
+           for _ in range(n)]
+    s = data.draw(st.integers(-5, 5))
+    m = s + data.draw(st.integers(-2, 40))
+    assert _canon(spec, s, vec, m) == old_canon(spec, s, vec, m)

@@ -4,15 +4,15 @@ reference_mul is the per-coefficient FElement loop that USeries.__mul__
 ran before the Kronecker kernel: every live pair a_i * b_j is multiplied
 and added, in order of i or in reverse, exact zeros skipped.  Sums and
 scalar multiples are checked against FElement loops the same way.  The
-loops add and multiply FElements as FElement did before its arithmetic
-moved onto the integer triples the kernels share (ref_add, ref_mul:
-OFElement arithmetic, then division of the unit by its valuation), so
-they do not run the code they check.  An exact coefficient leaves a
-series as the FElement zero at label _EXACT_ZERO_PREC, and such a zero
-enters one as exact, so "live" below means "not that zero".  The kernels
-must return the same FElement tuples (values, shifts and precision
-labels) and the same cap on random series over Z_3, Z_5, Z_3[pi] with
-pi^2 = 3, and Z_3 with uniformizer -6.
+loops add and multiply on the OFElement units of the FElements (ref_add,
+ref_mul: OFElement arithmetic, then division of the unit by its valuation
+with OFElement's val and div_pi) and build each result from its fields,
+so they run neither _canon nor the integer arithmetic (_add1, _mul1) that
+FElement and the kernels share.  An exact coefficient is an FElement with
+label None, so "live" below means "label is not None".  The kernels must
+return the same FElement tuples (values, shifts and precision labels) and
+the same cap on random series over Z_3, Z_5, Z_3[pi] with pi^2 = 3, and
+Z_3 with uniformizer -6.
 """
 
 import random
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobkit.scalars import FElement, FieldSpec, OFElement, qp_spec
-from frobkit.series import _EXACT_ZERO_PREC, USeries, _exact_zero
+from frobkit.series import USeries
 
 SPECS = {
     "Z3": qp_spec(3),
@@ -33,14 +33,21 @@ SPECS = {
 
 
 def ref_normalize(unit: OFElement, shift: int) -> FElement:
+    """unit * pi^shift with the valuation of unit moved into the shift."""
+    spec, m = unit.spec, unit.prec + shift
     v = unit.val()
     if v is None:
-        return FElement.zero_at(unit.spec, unit.prec + shift)
-    return FElement(unit.div_pi(v) if v else unit, shift + v)
+        return FElement(spec, m, (0,) * spec.e_F, m)
+    return FElement(spec, shift + v, (unit.div_pi(v) if v else unit).vec, m)
+
+
+def live(c: FElement) -> bool:
+    return c.label is not None
 
 
 def ref_add(a: FElement, b: FElement) -> FElement:
-    # a zero carrying at least the other label is additively inert
+    # a zero carrying at least the other label is additively inert, and an
+    # exact zero (absprec infinite) carries every label
     if a.absprec >= b.absprec and a.is_zero_at_prec():
         return b
     if b.absprec >= a.absprec and b.is_zero_at_prec():
@@ -50,19 +57,17 @@ def ref_add(a: FElement, b: FElement) -> FElement:
 
 
 def ref_mul(a: FElement, b: FElement) -> FElement:
+    if not (live(a) and live(b)):
+        return FElement.zero(a.spec)
     return ref_normalize(a.unit * b.unit, a.shift + b.shift)
 
 
 def ref_neg(a: FElement) -> FElement:
-    return FElement(-a.unit, a.shift)
+    return ref_normalize(-a.unit, a.shift) if live(a) else a
 
 
 def window(x: USeries, length: int) -> list[FElement]:
     return [x.coeff(n) for n in range(length)]
-
-
-def live(c: FElement) -> bool:
-    return not (c.is_zero_at_prec() and c.absprec >= _EXACT_ZERO_PREC)
 
 
 def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
@@ -78,7 +83,7 @@ def reference_mul(x: USeries, y: USeries, reverse: bool = False) -> USeries:
         cap = length = min(cands)
     av = [(i, c) for i, c in enumerate(window(x, length)) if live(c)]
     bv = [(j, c) for j, c in enumerate(window(y, length)) if live(c)]
-    out = [_exact_zero(x.spec)] * length
+    out = [FElement.zero(x.spec)] * length
     for i, ca in (reversed(av) if reverse else av):
         for j, cb in bv:
             if i + j >= length:
@@ -95,9 +100,8 @@ def reference_add(x: USeries, y: USeries) -> USeries:
 
 
 def reference_scale(x: USeries, c: FElement) -> USeries:
-    # exact stays exact on either side; every other product is FElement's
-    out = [a if not live(a) else ref_mul(c, a) if live(c) else c
-           for a in x.coeffs]
+    # exact stays exact on either side
+    out = [ref_mul(c, a) for a in x.coeffs]
     return with_cap(USeries.make(x.spec, out), x.cap) if out else x
 
 
@@ -109,14 +113,14 @@ def with_cap(poly: USeries, cap) -> USeries:
 def random_coeff(rng, spec, min_shift):
     kind = rng.random()
     if kind < 0.12:
-        return _exact_zero(spec)
+        return FElement.zero(spec)
     if kind < 0.25:
         # zero-at-precision placeholders, label-0 tails among them
         return FElement.zero_at(spec, rng.choice((0, 0, 1, 3, 8, 15)))
     prec = rng.randint(1, 20)
     coords = [rng.randrange(spec.p ** 25) for _ in range(spec.e_F)]
     unit = OFElement.from_coords(spec, coords, prec)
-    return FElement.make(unit, rng.randint(min_shift, 4))
+    return ref_normalize(unit, rng.randint(min_shift, 4))
 
 
 def random_series(rng, spec, min_shift):
@@ -150,7 +154,7 @@ def test_kernel_matches_reference_loop(name, min_shift):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_kernel_matches_reference_on_placeholders_only(name):
     spec = SPECS[name]
-    zeros = USeries.make(spec, [FElement.zero_at(spec, 4), _exact_zero(spec),
+    zeros = USeries.make(spec, [FElement.zero_at(spec, 4), FElement.zero(spec),
                                 FElement.zero_at(spec, 0)], 3)
     one = USeries.make(spec, [1, 0, 2], absprec=6)
     for x, y in ((zeros, one), (one, zeros), (zeros, zeros),
@@ -185,11 +189,11 @@ def test_flat_kernels_match_felement_loops(name, seed, min_shift):
     rng = random.Random(seed)
     x = random_series(rng, spec, min_shift)
     y = random_series(rng, spec, min_shift)
-    neg_y = USeries.make(spec, [ref_neg(c) if live(c) else c for c in y.coeffs])
+    neg_y = USeries.make(spec, [ref_neg(c) for c in y.coeffs])
     for got, want in ((x * y, reference_mul(x, y)), (x + y, reference_add(x, y)),
                       (x - y, reference_add(x, with_cap(neg_y, y.cap)))):
         assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
-    for c in (random_coeff(rng, spec, min_shift), _exact_zero(spec)):
+    for c in (random_coeff(rng, spec, min_shift), FElement.zero(spec)):
         got, want = x.scalar_mul(c), reference_scale(x, c)
         assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
 
