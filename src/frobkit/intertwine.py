@@ -11,19 +11,21 @@ front.
 The solver never composes series.  One table of the powers of f2 and the
 columns of the powers xi^2..xi^p, extended online as each coefficient of
 xi lands, give the residual coefficient of each degree d in O(p*s*d) scalar
-operations, so a whole solve is quadratic in M.  The verifier stays on
-direct composition as an independent oracle.
+operations, so a whole solve is quadratic in M.  Those operations run on
+the (shift, unit, label) int triples of the coefficients, one _canon per
+dot product and one integer division per degree, never on FElement
+objects.  The verifier stays on direct composition as an independent
+oracle.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import PrecisionError, SpecMismatchError
-from .scalars import DEFAULT_PREC, FElement, OFExact, of_root
-from .series import FrobLift, USeries, _as_felement, s_compose
+from .scalars import (DEFAULT_PREC, FElement, OFExact, _add1, _div1, _dot1, _neg1,
+                      of_root)
+from .series import FrobLift, USeries, _as_felement, _flat, _series, s_compose
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,8 @@ class IntertwineResult:
         }
 
 
-def _dot(xs, ys) -> FElement:
-    """sum x_k * y_k in order of k, as a series product sums its terms."""
-    return reduce(operator.add, map(operator.mul, xs, ys))
+def _triples(x: USeries) -> list:
+    return list(zip(x.shifts, x.units, x.labels))
 
 
 def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
@@ -149,7 +150,10 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     costs O(p*s*d) scalar operations (online multiplication, van der
     Hoeven 2002).  Every term the compositions would sum, the zero-at-
     precision constant term of xi included, enters the same sums, so the
-    labels and digits are those of the compositions.
+    labels and digits are those of the compositions.  The coefficients
+    are held as (shift, unit, label) int triples throughout: each sum is
+    one _dot1, an int sum of the aligned unit products with one _canon at
+    its label, and each division one _div1.
     """
     spec = f.spec
     s = _common_degree(f, f2)
@@ -162,56 +166,54 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     if mu0.is_zero_at_prec() or mu0.vlow() != 0:
         raise ValueError("mu0 must be a unit")
 
-    a = f.as_series(absprec=n_start).coeffs[2:]  # a_2..a_p
+    a = _triples(f.as_series(absprec=n_start))[2:]  # a_2..a_p
     f2s = f2.as_series(absprec=n_start).truncate(M + s)
     powers = [f2s]
     for _ in range(2, M):
         powers.append((powers[-1] * f2s).truncate(M + s))
     # by_n[n][k - 1] = [f2^k]_n
-    by_n = list(zip(*(pw.coeffs for pw in powers)))
+    by_n = list(zip(*map(_triples, powers)))
 
-    xi: list = [FElement.zero_at(spec, n_start), mu0]
+    xi: list = [(n_start, (0,) * spec.e_F, n_start), _flat(spec, mu0, n_start)]
+    pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros
     cols: list[list] = [[] for _ in range(2, spec.p + 1)]  # [xi^i]_m, m < d
     losses: list[int] = []
     if s > 1:
         s_el = OFExact.make(spec, s)
         base = FElement.from_exact(s_el * a_s, n_start)
-        div_const = base * mu0 ** (s - 1)
+        div = _flat(spec, base * mu0 ** (s - 1), n_start)
     for d in range(2, M + 1):
         n = d + s - 1
         # [xi^(i-1)]_m for m <= n with xi_m = 0 for m >= d, from i = 2 on
-        prev = xi + [FElement.zero(spec)] * s
+        prev = xi + pad
         at_n = []  # [xi^i]_n, i = 2..p
         for col in cols:
             # entries below d are final; those from d to n are formed anew
-            col.extend(_dot(xi, prev[m::-1]) for m in range(len(col), d))
-            prev = col + [_dot(xi, prev[m:m - d:-1]) for m in range(d, n + 1)]
+            col.extend(_dot1(spec, xi, prev[m::-1]) for m in range(len(col), d))
+            prev = col + [_dot1(spec, xi, prev[m:m - d:-1]) for m in range(d, n + 1)]
             at_n.append(prev[n])
-        lhs = _dot(a, at_n)
-        rhs = _dot(xi[1:], by_n[n])
-        lam = lhs - rhs
+        lam = _add1(spec, *_dot1(spec, a, at_n),
+                    *_neg1(spec, *_dot1(spec, xi[1:], by_n[n])))
         if s == 1:
-            div = FElement.from_exact(f.coeffs[0] - f2.coeffs[0] ** d, n_start)
-        else:
-            div = div_const
-        if not lam.is_zero_at_prec() and lam.vlow() < 1:
+            div = _flat(spec, f.coeffs[0] - f2.coeffs[0] ** d, n_start)
+        if lam[1][0] and lam[0] < 1:
             raise SpecMismatchError(
                 f"internal inconsistency: residual at degree {d} is a unit"
             )
         try:
-            mu_d = -(lam / div)
+            mu_d = _neg1(spec, *_div1(spec, *lam, *div))
         except PrecisionError as exc:
             raise PrecisionError(
                 f"precision exhausted at degree {d}"
             ) from exc
-        losses.append(div.vlow())
+        losses.append(div[0])
         xi.append(mu_d)
-    integral = all(c.is_integral() for c in xi)
+    integral = all(c[0] >= 0 for c in xi)
     if a_s.val() == 1 and not integral:
         raise AssertionError(
             "theorem violated: v(a_s) = v(pi) guarantees an integral xi"
         )
-    xi = USeries.make(spec, xi, absprec=n_start)
+    xi = _series(spec, xi, None)
     achieved = min((m for m in xi.labels[1:] if m is not None), default=n_start)
     return IntertwineResult(xi, mu0, s, integral, (M, min(N, achieved)),
                             tuple(losses))

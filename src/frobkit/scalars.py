@@ -163,6 +163,17 @@ def _det(M: list) -> int:
                for j in range(len(M)) if M[0][j])
 
 
+def _adjugate(spec: FieldSpec, num) -> tuple[list[int], int]:
+    """(adj(M) e_0, det(M)) for M the matrix of multiplication by num on 1,
+    pi, ..., pi^(e_F-1), column j being num*pi^j: 1/num has coordinates
+    adj(M) e_0 / det(M) (Cramer's rule over Z).  Minors are taken on the
+    columns as rows, which leaves every determinant unchanged."""
+    cols = [_reduce_poly(spec, [0] * j + list(num)) for j in range(spec.e_F)]
+    adj0 = [(-1) ** i * _det([c[1:] for j, c in enumerate(cols) if j != i])
+            for i in range(len(cols))]
+    return adj0, _det(cols)
+
+
 def _fraction_in(v, path: str) -> Fraction:
     """An integer or an "a/b" string as a Fraction; ValueError names path."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
@@ -294,17 +305,12 @@ class OFExact:
         return self * inv_pi ** (-k)
 
     def inv(self) -> "OFExact":
-        """Cramer's rule over Z: M is the matrix of multiplication by num on
-        1, pi, ..., pi^(e_F-1), column j being num*pi^j, and
-        1/(num/den) = den * adj(M) e_0 / det(M).  Minors are taken on the
-        columns as rows, which leaves every determinant unchanged."""
+        """1/(num/den) = den * adj(M) e_0 / det(M), M the matrix of
+        multiplication by num (_adjugate)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        spec = self.spec
-        cols = [_reduce_poly(spec, [0] * j + list(self.num)) for j in range(spec.e_F)]
-        adj0 = [(-1) ** i * _det([c[1:] for j, c in enumerate(cols) if j != i])
-                for i in range(len(cols))]
-        return _exact(spec, tuple(self.den * c for c in adj0), _det(cols))
+        adj0, det = _adjugate(self.spec, self.num)
+        return _exact(self.spec, tuple(self.den * c for c in adj0), det)
 
     def __truediv__(self, other: "OFExact") -> "OFExact":
         return self * other.inv()
@@ -646,6 +652,105 @@ def _mul1(spec: FieldSpec, s1, u1, n1, s2, u2, n2):
     return (*_canon(spec, s1 + s2, vec, n), n)
 
 
+def _dot1(spec: FieldSpec, xs, ys):
+    """sum_k x_k * y_k over two sequences of coefficients, the shorter one
+    setting the length: what folding _add1 over the _mul1 products gives,
+    with one _canon.  Its label is the least product label
+    min(n_x + s_y, n_y + s_x) over the pairs with no exact factor (exact
+    when every pair has one); its value is one int sum of the products of
+    the visible units, aligned to the least shift s0 by pi^(s - s0), brought
+    to normal form at that label (a zero there when no pair has two visible
+    units).  Every intermediate _canon of the fold reduces modulo a label
+    no lower than the final one, so both give the same fields."""
+    m = None
+    terms = []
+    for (s1, u1, n1), (s2, u2, n2) in zip(xs, ys):
+        if n1 is None or n2 is None:
+            continue
+        n = n1 + s2
+        if n2 + s1 < n:
+            n = n2 + s1
+        if m is None or n < m:
+            m = n
+        if u1[0] and u2[0]:
+            terms.append((s1 + s2, u1, u2))
+    e = spec.e_F
+    if m is None:
+        return 0, (0,) * e, None
+    # a term at or above the label vanishes there
+    terms = [t for t in terms if t[0] < m]
+    if not terms:
+        return m, (0,) * e, m
+    s0 = min(t[0] for t in terms)
+    if e == 1:
+        q = -spec.eisenstein[0]  # pi
+        c = sum(u1[0] * u2[0] * _pk(q, s - s0) for s, u1, u2 in terms)
+        return (*_canon(spec, s0, (c,), m), m)
+    vec = [0] * (2 * e - 1 + max(t[0] for t in terms) - s0)
+    for s, u1, u2 in terms:
+        t = s - s0
+        for i, x in enumerate(u1):
+            if x:
+                for j, y in enumerate(u2):
+                    vec[t + i + j] += x * y
+    return (*_canon(spec, s0, vec, m), m)
+
+
+def _div1(spec: FieldSpec, s1, u1, n1, s2, u2, n2):
+    """The quotient of two coefficients, as the OFElement route
+    unit1 * unit2.inverse() at shift s1 - s2 gives it.  The divisor must be
+    visible.  An exact dividend stays exact; a zero keeps its own
+    precision, label n1 - s2; a visible one has label
+    min(n1 - s1, n2 - s2) + s1 - s2.  The inverse of the unit is
+    pow(c, -1, p^k) when e_F = 1, else its adjugate column over one
+    inverted determinant."""
+    if not u2[0]:
+        raise PrecisionError("precision exhausted: divisor indistinguishable from 0")
+    e = spec.e_F
+    if n1 is None:
+        return s1, u1, n1
+    if not u1[0]:
+        m = n1 - s2
+        return m, (0,) * e, m
+    prec = min(n1 - s1, n2 - s2)
+    s = s1 - s2
+    if e == 1:
+        pk = _pk(spec.p, prec)
+        return s, (u1[0] * pow(u2[0], -1, pk) % pk,), prec + s
+    pk = _pk(spec.p, spec.coeff_modulus_exp(prec, 0))
+    adj0, det = _adjugate(spec, u2)
+    d = pow(det, -1, pk)
+    return (*_canon(spec, s, _conv(u1, [c * d % pk for c in adj0]), prec + s),
+            prec + s)
+
+
+def _pow1(spec: FieldSpec, s, u, m, n: int):
+    """x^n for n >= 0, as the OFElement route unit ** n at shift n * shift
+    gives it.  A visible x = pi^s * unit has its unit known modulo
+    pi^(m - s), and so has x^n = pi^(n*s) * unit^n.  For a zero at label
+    m (0 when exact) x^n is a zero at label n*m when n >= 1, and x^0 is 1
+    known modulo pi^max(m, 0)."""
+    e = spec.e_F
+    if not u[0]:
+        m = m or 0
+        if n:
+            return n * m, (0,) * e, n * m
+        return (*_canon(spec, 0, [1], max(m, 0)), max(m, 0))
+    prec = m - s
+    if e == 1:
+        vec = [pow(u[0], n, _pk(spec.p, prec))]
+    else:
+        pk = _pk(spec.p, spec.coeff_modulus_exp(prec, 0))
+        vec, base, k = [1], u, n
+        while k:
+            if k & 1:
+                vec = [c % pk for c in _reduce_poly(spec, _conv(vec, base))]
+            k >>= 1
+            if k:
+                base = [c % pk for c in _reduce_poly(spec, _conv(base, base))]
+    return (*_canon(spec, s * n, vec, prec + s * n), prec + s * n)
+
+
 @dataclass(frozen=True, slots=True)
 class FElement:
     """pi^low * unit known modulo pi^label, stored as a USeries slot is:
@@ -745,17 +850,15 @@ class FElement:
 
     def __truediv__(self, other: "FElement") -> "FElement":
         _check_spec(self, other)
-        if other.is_zero_at_prec():
-            raise PrecisionError("precision exhausted: divisor indistinguishable from 0")
-        if self.label is None:
-            return self
-        return FElement.make(self.unit * other.unit.inverse(),
-                             self.shift - other.shift)
+        spec = self.spec
+        return FElement(spec, *_div1(spec, self.low, self.coords, self.label,
+                                     other.low, other.coords, other.label))
 
     def __pow__(self, n: int) -> "FElement":
         if n < 0:
             return FElement.one(self.spec, self.unit.prec) / self ** (-n)
-        return FElement.make(self.unit ** n, self.shift * n)
+        return FElement(self.spec, *_pow1(self.spec, self.low, self.coords,
+                                          self.label, n))
 
     def cap_absprec(self, absprec: int) -> "FElement":
         """Truncate the precision label to at most absprec, or to the

@@ -726,12 +726,19 @@ def _eval_reduced(poly: dict, point: list[PerfSeries],
         for idx, e in enumerate(key):
             if not e:
                 continue
+            x = point[idx]
+            if x.bound is None and not x.terms:
+                # an exact zero factor makes the term exactly zero; a
+                # truncated zero must still carry its bound into the term
+                term = model.zero_like()
+                break
             v = cache.get((idx, e))
             if v is None:
-                v = point[idx].pow(e)
+                v = x.pow(e)
                 cache[(idx, e)] = v
             term = v if term is None else term * v
-        term = model.const_like(c) if term is None else term.scale(c)
+        else:
+            term = model.const_like(c) if term is None else term.scale(c)
         acc = term if acc is None else acc + term
     if acc is None:
         acc = PerfSeries(model.p, model.J, (), _bmin(*(x.bound for x in point)),

@@ -22,6 +22,8 @@ from frobkit.witt import (
     WittVec,
     _compiled_polys,
     _div_pi,
+    _eval_reduced,
+    _reduced_polys,
     _ring,
     _trie,
     _trie_terms,
@@ -376,6 +378,43 @@ def test_reduced_evaluation_matches_exact_layer():
                     want = eval_poly_exact(polys[m], pt, spec).residue()
                     have = got.comps[m]
                     assert have.terms == (((0, want),) if want else ())
+
+
+def eval_through(poly, point, model):
+    """_eval_reduced multiplying through every factor, exact zeros too."""
+    acc = None
+    for key, c in poly.items():
+        term = model.const_like(1)
+        for idx, e in enumerate(key):
+            if e:
+                term = term * point[idx].pow(e)
+        acc = term.scale(c) if acc is None else acc + term.scale(c)
+    return acc
+
+
+def test_exact_zero_factor_ends_its_term():
+    # exact zeros, truncated zeros and bounded values, at Witt length 3:
+    # ending a term at an exact zero factor changes no term, no bound, and
+    # leaves an exact zero when every term ends that way
+    rng = random.Random(7)
+    for spec in (Q2, Q3):
+        p = spec.p
+        model = PerfSeries.ubar(p)
+        kinds = [model.zero_like(),
+                 PerfSeries.make(p, model.J, {}, bound=3 * p ** model.J),
+                 PerfSeries.make(p, model.J, {p ** model.J: 1, 2 * p ** model.J: 1},
+                                 bound=5 * p ** model.J),
+                 model, model.const_like(1)]
+        red_s, red_p = _reduced_polys(3, spec)
+        for _ in range(12):
+            point = [rng.choice(kinds) for _ in range(6)]
+            for poly in red_s + red_p:
+                assert _eval_reduced(poly, point, model) == \
+                    eval_through(poly, point, model)
+        zeros = [model.zero_like()] * 6
+        for poly in red_p:
+            got = _eval_reduced(poly, zeros, model)
+            assert got.is_zero() and got.bound is None
 
 
 def test_frob_is_ring_hom_and_invertible():
