@@ -28,17 +28,20 @@ be integral.
 from dataclasses import dataclass
 
 from .errors import IndeterminateError, SpecMismatchError
-from .scalars import DEFAULT_PREC, AtLeast, FElement, FieldSpec, OFExact
+from .scalars import DEFAULT_PREC, AtLeast, FElement, FieldSpec, OFExact, _dot1
 from .series import (
     EisensteinE,
     FrobLift,
     USeries,
+    _compose_powers,
     _gauge_combine,
+    _powers,
     e_divides,
     e_order,
     frobenius,
     gauge_alpha,
     s_compose,
+    s_dot,
     wdeg,
 )
 
@@ -92,19 +95,20 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    """A*B for USeries or FElement entries, in any mix (a USeries times an
-    FElement is scaled coefficientwise)."""
-    d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, d):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """A*B, each entry the dot product of a row and a column in one kernel
+    call, with the fields of summing the entry products in order: s_dot
+    for USeries rows, where an FElement in B scales coefficientwise, and
+    _dot1 for two matrices of FElements."""
+    cols = tuple(zip(*B))
+    if isinstance(A[0][0], USeries):
+        return tuple(tuple(s_dot(zip(row, col)) for col in cols) for row in A)
+    spec = A[0][0].spec
+
+    def fields(xs):
+        return [(x.low, x.coords, x.label) for x in xs]
+
+    return tuple(tuple(FElement(spec, *_dot1(spec, fields(row), fields(col)))
+                       for col in cols) for row in A)
 
 
 def mat_scale(A: Mat, c) -> Mat:
@@ -476,6 +480,14 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     checked at available precision: Y = I mod u and Y*phi(A0) =
     phi(A)*phi(Y).  A trace that visibly stops climbing raises, since
     that is exactly what convergence failure looks like.
+
+    At step n every entry h of A is composed with the same g_n = f^(n)(u):
+    the powers g_n, ..., g_n^D (D the largest entry degree) are built
+    once, and h(g_n) = h_0 + sum_k h_k g_n^k is one kernel call per entry
+    (Brent, Kung, "Fast algorithms for manipulating formal power series",
+    1978).  Its labels follow that scheme and are no lower than Horner's
+    on the same inputs.  g_(n+1) = f(g_n) and the check compositions stay
+    on Horner's s_compose, an independent route.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -500,6 +512,7 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     tprec = max(tprec, DEFAULT_PREC) + spec.e_F + 2
     f_ser = f.as_series(tprec)
 
+    top = max(len(x) for row in m.A for x in row) - 1  # largest entry degree
     ident = mat_identity(spec, m.d, absprec=tprec)
     gauges = []
     adj0_pow = adj0
@@ -512,8 +525,9 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
         if n > 1:
             g_n = s_compose(f_ser, g_n).truncate(u_order)
             adj0_pow = mat_mul(adj0_pow, adj0)
-        # a polynomial entry of order k composes to cap u_order + k
-        C = tuple(tuple(s_compose(x, g_n).truncate(u_order) for x in row)
+        # every entry composes with the same g_n: one power table serves all
+        powers = _powers(g_n, top, u_order)
+        C = tuple(tuple(_compose_powers(x, powers).truncate(u_order) for x in row)
                   for row in m.A)
         P = C if P is None else mat_mul(P, C)
         N = mat_mul(P, adj0_pow)

@@ -728,11 +728,15 @@ def _pow1(spec: FieldSpec, s, u, m, n: int):
     """x^n for n >= 0, as the OFElement route unit ** n at shift n * shift
     gives it.  A visible x = pi^s * unit has its unit known modulo
     pi^(m - s), and so has x^n = pi^(n*s) * unit^n.  For a zero at label
-    m (0 when exact) x^n is a zero at label n*m when n >= 1, and x^0 is 1
-    known modulo pi^max(m, 0)."""
+    m, x^n is a zero at label n*m when n >= 1, and x^0 is 1 known modulo
+    pi^max(m, 0).  The exact zero's powers are exact: 0^n = 0 for n >= 1,
+    and 0^0 is the one FElement.one gives."""
     e = spec.e_F
+    if m is None:
+        if n:
+            return s, u, m
+        return (*_canon(spec, 0, [1], DEFAULT_PREC), DEFAULT_PREC)
     if not u[0]:
-        m = m or 0
         if n:
             return n * m, (0,) * e, n * m
         return (*_canon(spec, 0, [1], max(m, 0)), max(m, 0))

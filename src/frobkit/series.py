@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import IndeterminateError
@@ -76,53 +77,99 @@ def _series(spec: FieldSpec, triples, cap: int | None) -> "USeries":
 
 # --- the series product kernel ------------------------------------------------
 #
-# Coefficient k of a product is the sum over i + j = k of a_i * b_j, with
-# exact zeros skipped and every other term, zero-at-precision placeholders
-# included, entering the label.  The label of a_i * b_j is
-# min(N_a_i + v(b_j), N_b_j + v(a_i)) (N the label, v the valuation, v = N
+# One kernel forms every series product and every sum of products
+# sum_k x_k * y_k, a plain product being its one-pair call.  Coefficient n
+# of the sum is the sum over the pairs and over i + j = n of x_i * y_j,
+# with exact zeros skipped and every other term, zero-at-precision
+# placeholders included, entering the label.  The label of x_i * y_j is
+# min(N_x_i + v(y_j), N_y_j + v(x_i)) (N the label, v the valuation, v = N
 # for a zero); the label of a sum is the least label of its terms.  So the
-# labels come from a min-plus pass, the values from one Kronecker product.
+# labels come from one min-plus pass per pair, merged by minimum, and the
+# values from one Kronecker product per pair, all aligned to one shift and
+# summed into one int, with one _canon per output coefficient.  Every
+# _canon of the fold of products and additions reduces modulo a label no
+# lower than the final one, so the kernel gives the fields of that fold.
+# An FElement factor y is the constant series y, except that x*y keeps
+# x's length and cap as scalar_mul does: a capped x shorter than the sum
+# reads as label-0 zeros past its end, whatever y is.
+
+
+class _Live:
+    """The live (index, label, valuation) triples of a factor below some
+    length, sorted by index; the least and greatest label and valuation
+    among them; and, by field width, the packed fields label - least
+    label, valuation - least valuation and 1 at their indices."""
+
+    __slots__ = ("entries", "nmin", "nmax", "vmin", "vmax", "packed")
+
+    def __init__(self, entries: list):
+        self.entries = entries
+        if entries:
+            ns = [n for _, n, _ in entries]
+            vs = [v for _, _, v in entries]
+            self.nmin, self.nmax = min(ns), max(ns)
+            self.vmin, self.vmax = min(vs), max(vs)
+        self.packed = {}
+
+    def fields(self, nbytes: int) -> tuple[int, int, int]:
+        got = self.packed.get(nbytes)
+        if got is None:
+            top = self.entries[-1][0] + 1
+            fn, fv, ones = [0] * top, [0] * top, [0] * top
+            for j, n, v in self.entries:
+                fn[j], fv[j], ones[j] = n - self.nmin, v - self.vmin, 1
+            got = self.packed[nbytes] = (_to_int(fn, nbytes), _to_int(fv, nbytes),
+                                         _to_int(ones, nbytes))
+        return got
 
 
 class _Operand:
-    """What a product reads of a series, gathered once per series: its live
-    (index, label, valuation) triples; (index, unit * pi^(shift - s0)) for
-    its nonzero coefficients, s0 being their least shift; their greatest
-    shift and label; and the last Kronecker image packed, as (key, int)."""
+    """What a product reads of a series, gathered once per series: its
+    length and cap; its live (index, label, valuation) triples, and their
+    _Live views below a length; (index, unit * pi^(shift - s0)) for its
+    nonzero coefficients, s0 being their least shift; their greatest shift
+    and label; and its last Kronecker images, by key."""
 
-    __slots__ = ("live", "aligned", "s0", "top_shift", "top_label", "image")
+    __slots__ = ("size", "cap", "live", "views", "aligned", "s0", "top_shift",
+                 "top_label", "images")
 
-    def __init__(self, x: "USeries"):
-        self.live = [(i, m, s) for i, (s, m) in enumerate(zip(x.shifts, x.labels))
+    def __init__(self, spec: FieldSpec, shifts, units, labels, cap: int | None):
+        self.size, self.cap, self.views, self.images = len(labels), cap, {}, {}
+        self.live = [(i, m, s) for i, (s, m) in enumerate(zip(shifts, labels))
                      if m is not None]
-        nz = [(i, s, u, m) for i, (s, u, m)
-              in enumerate(zip(x.shifts, x.units, x.labels)) if u[0]]
+        nz = [(i, s, u, m) for i, (s, u, m) in enumerate(zip(shifts, units, labels))
+              if u[0]]
         self.s0 = min((s for _, s, _, _ in nz), default=0)
-        self.aligned = [(i, _times_pi(x.spec, u, s - self.s0)) for i, s, u, _ in nz]
+        self.aligned = [(i, _times_pi(spec, u, s - self.s0)) for i, s, u, _ in nz]
         self.top_shift = max((s for _, s, _, _ in nz), default=0)
         self.top_label = max((m for _, _, _, m in nz), default=0)
-        self.image = None
+
+    def view(self, length: int, pad: bool = True) -> _Live:
+        """The live triples below length, with label-0 zeros past the end
+        of a capped series when pad is set."""
+        key = (length, pad)
+        got = self.views.get(key)
+        if got is None:
+            live = self.live
+            if live and live[-1][0] >= length:
+                live = [t for t in live if t[0] < length]
+            if pad and self.cap is not None and self.size < length:
+                live = live + [(i, 0, 0) for i in range(self.size, length)]
+            got = self.views[key] = _Live(live)
+        return got
 
 
 def _operand(x: "USeries") -> _Operand:
     if x._op is None:
-        object.__setattr__(x, "_op", _Operand(x))
+        object.__setattr__(x, "_op",
+                           _Operand(x.spec, x.shifts, x.units, x.labels, x.cap))
     return x._op
-
-
-def _live(x: "USeries", op: _Operand, length: int) -> list:
-    live = op.live
-    if live and live[-1][0] >= length:
-        live = [t for t in live if t[0] < length]
-    if x.cap is not None and len(x.labels) < length:
-        live = live + [(i, 0, 0) for i in range(len(x.labels), length)]
-    return live
 
 
 def _to_int(fields: list, nbytes: int) -> int:
     if nbytes == 1:
         return int.from_bytes(bytes(fields), "little")
-    return int.from_bytes(b"".join(f.to_bytes(nbytes, "little") for f in fields),
+    return int.from_bytes(b"".join([f.to_bytes(nbytes, "little") for f in fields]),
                           "little")
 
 
@@ -134,31 +181,33 @@ def _from_int(value: int, count: int, nbytes: int) -> list:
             for k in range(0, count * nbytes, nbytes)]
 
 
-def _product_labels(a: list, b: list, length: int) -> list:
-    """Labels of coefficients 0..length-1 of a product whose factors have
-    live (index, label, valuation) triples a and b: the least
-    min(N_i + v_j, v_i + N_j) over live pairs i + j = k, None for none.
-    Each term t is stored as K - t >= 1 in a w-bit field of a big int (0:
-    no pair), and fields merge by a maximum taken on all fields at once
-    (SIMD within a register, the top bit of a field a guard bit)."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return [None] * length
-    K = max(max(n for _, n, _ in a) + max(v for _, _, v in b),
-            max(v for _, _, v in a) + max(n for _, n, _ in b)) + 1
-    n0 = min(n for _, n, _ in a)
-    v0 = min(v for _, _, v in a)
-    f1, f2, ones = [0] * length, [0] * length, [0] * length
-    for j, n, v in b:
-        f1[j] = K - n0 - v
-        f2[j] = K - v0 - n
-        ones[j] = 1
-    nbytes = (max(max(f1), max(f2)).bit_length() + 8) // 8
-    w = 8 * nbytes
-    q1, q2, lb = _to_int(f1, nbytes), _to_int(f2, nbytes), _to_int(ones, nbytes)
+@lru_cache(maxsize=64)
+def _swar_masks(length: int, nbytes: int) -> tuple[int, int]:
+    """The guard bits (the top bit of every field) and the bits below them."""
     guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * length, "little")
-    low = guard - int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length, "little")
+    return guard, guard - int.from_bytes((b"\x01" + bytes(nbytes - 1)) * length,
+                                         "little")
+
+
+def _product_labels(pairs: list, length: int) -> list:
+    """Labels of coefficients 0..length-1 of a sum of products, one pair of
+    _Live views (a, b) per product: the least min(N_i + v_j, v_i + N_j)
+    over live i + j = k of any pair, None for none.  Each term t is stored
+    as K - t >= 1 in a w-bit field of a big int (0: no term), with one K
+    for all pairs, so the fields of b for the i-th triple of a are
+    (K - n_i - v_j) and (K - v_i - n_j), each a multiple of b's ones less
+    its packed valuations or labels; fields merge by a maximum taken on all
+    fields at once (SIMD within a register, the top bit of a field a guard
+    bit)."""
+    pairs = [(a, b) if len(a.entries) <= len(b.entries) else (b, a)
+             for a, b in pairs if a.entries and b.entries]
+    if not pairs:
+        return [None] * length
+    K = max(max(a.nmax + b.vmax, a.vmax + b.nmax) for a, b in pairs) + 1
+    top = max(K - min(a.nmin + b.vmin, a.vmin + b.nmin) for a, b in pairs)
+    nbytes = (top.bit_length() + 8) // 8
+    w = 8 * nbytes
+    guard, low = _swar_masks(length, nbytes)
 
     def vmax(x, y):
         g = ((x | guard) - y) & guard
@@ -166,64 +215,112 @@ def _product_labels(a: list, b: list, length: int) -> list:
         return (x & m) | (y & (m ^ low))
 
     out = 0
-    for i, n, v in a:
-        out = vmax(out, vmax(q1 - (n - n0) * lb, q2 - (v - v0) * lb) << (w * i))
+    for a, b in pairs:
+        pn, pv, lb = b.fields(nbytes)
+        q1 = (K - a.nmin - b.vmin) * lb - pv
+        q2 = (K - a.vmin - b.nmin) * lb - pn
+        for i, n, v in a.entries:
+            out = vmax(out, vmax(q1 - (n - a.nmin) * lb, q2 - (v - a.vmin) * lb)
+                       << (w * i))
     return [K - f if f else None for f in _from_int(out, length, nbytes)]
 
 
-def _image(op: _Operand, length: int, stride: int, pk: int, nbytes: int) -> int:
-    """Kronecker image of the aligned units of an operand below length:
-    coordinate r of coefficient i, reduced mod pk, in slot i*stride + r of
-    nbytes; the last image is kept, since a Horner step reuses it."""
-    key = (length, pk, nbytes)
-    if op.image is not None and op.image[0] == key:
-        return op.image[1]
-    slots = [0] * (length * stride)
-    for i, vec in op.aligned:
-        if i >= length:
-            break
-        for r, c in enumerate(vec):
-            slots[i * stride + r] = c % pk
+def _image(spec: FieldSpec, op: _Operand, length: int, stride: int, pk: int,
+           nbytes: int, t: int) -> int:
+    """Kronecker image of the aligned units of an operand below length, each
+    times pi^t: coordinate r of coefficient i, reduced mod pk, in slot
+    i*stride + r of nbytes.  The last few images are kept, since a Horner
+    step or a matrix row reuses them."""
+    key = (length, pk, nbytes, t)
+    image = op.images.get(key)
+    if image is not None:
+        return image
+    aligned = op.aligned
+    if aligned[-1][0] >= length:
+        aligned = [a for a in aligned if a[0] < length]
+    if t:
+        aligned = [(i, _times_pi(spec, vec, t)) for i, vec in aligned]
+    slots = [0] * ((aligned[-1][0] + 1) * stride)
+    if stride == 1:
+        for i, (c,) in aligned:
+            slots[i] = c % pk
+    else:
+        for i, vec in aligned:
+            for r, c in enumerate(vec):
+                slots[i * stride + r] = c % pk
     image = _to_int(slots, nbytes)
-    op.image = (key, image)
+    if len(op.images) >= 4:
+        op.images.clear()
+    op.images[key] = image
     return image
+
+
+def _sum_products(spec: FieldSpec, pairs, length: int,
+                  cap: int | None) -> "USeries":
+    """Coefficients 0..length-1 of sum x*y over the (x, y) in pairs, x a
+    USeries and y a USeries or an FElement: identical to adding up the
+    FElement products x_i * y_j of every pair in any order (an exact
+    product adds nothing), each x*y read as its window of length."""
+    e = spec.e_F
+    label_pairs, value_pairs = [], []
+    for x, y in pairs:
+        opa = _operand(x)
+        if isinstance(y, FElement):
+            opb = _Operand(spec, (y.low,), (y.coords,), (y.label,), None)
+            label_pairs.append((opa.view(length, pad=False), opb.view(length)))
+            if x.cap is not None and len(x.labels) < length:
+                # the unknown tail of x stays a label-0 zero, as scalar_mul
+                # and the window of its product leave it
+                tail = [(i, 0, 0) for i in range(len(x.labels), length)]
+                label_pairs.append((_Live(tail), _Live([(0, 0, 0)])))
+        else:
+            opb = _operand(y)
+            label_pairs.append((opa.view(length), opb.view(length)))
+        if (opa.aligned and opb.aligned
+                and opa.aligned[0][0] + opb.aligned[0][0] < length):
+            value_pairs.append((opa, opb))
+    labels = _product_labels(label_pairs, length)
+    coords = None
+    if value_pairs:
+        s0 = min(a.s0 + b.s0 for a, b in value_pairs)
+        # a nonzero term of coefficient k bounds its label m_k, so working
+        # mod p^K with e*K >= m_k - s0 loses nothing wherever there is one;
+        # where there is none the sum is exactly 0
+        digits = max(min(a.top_label + b.top_shift, a.top_shift + b.top_label)
+                     for a, b in value_pairs) - s0
+        pk = _pk(spec.p, max(-(-digits // e), 1))  # p^K
+        stride = 2 * e - 1
+        terms = sum(min(len(a.aligned), len(b.aligned)) for a, b in value_pairs)
+        nbytes = (2 * (pk - 1).bit_length() + (terms * e).bit_length() + 7) // 8
+        count = length * stride
+        total = 0
+        for a, b in value_pairs:
+            # the factor with fewer nonzero coefficients takes the alignment
+            if len(a.aligned) > len(b.aligned):
+                a, b = b, a
+            total += (_image(spec, a, length, stride, pk, nbytes, a.s0 + b.s0 - s0)
+                      * _image(spec, b, length, stride, pk, nbytes, 0))
+        coords = _from_int(total & ((1 << (8 * nbytes * count)) - 1), count, nbytes)
+    zero = (0,) * e
+    shifts, units = [], []
+    for k, m in enumerate(labels):
+        if m is None:
+            shifts.append(0)
+            units.append(zero)
+        elif coords is None or m <= s0:
+            shifts.append(m)
+            units.append(zero)
+        else:
+            s, u = _canon(spec, s0, coords[k * stride:(k + 1) * stride], m)
+            shifts.append(s)
+            units.append(u)
+    return USeries(spec, tuple(shifts), tuple(units), tuple(labels), cap)
 
 
 def _product(x: "USeries", y: "USeries", length: int,
              cap: int | None) -> "USeries":
-    """Coefficients 0..length-1 of x*y, identical to summing the FElement
-    products x_i * y_j in any order (an exact product adds nothing)."""
-    spec = x.spec
-    e = spec.e_F
-    opa, opb = _operand(x), _operand(y)
-    labels = _product_labels(_live(x, opa, length), _live(y, opb, length), length)
-    coords = None
-    if opa.aligned and opb.aligned and opa.aligned[0][0] + opb.aligned[0][0] < length:
-        s0 = opa.s0 + opb.s0
-        # a nonzero term of coefficient k bounds its label m_k, so working
-        # mod p^K with e*K >= m_k - s0 loses nothing wherever there is one;
-        # where there is none the sum is exactly 0
-        digits = min(opa.top_label + opb.top_shift,
-                     opa.top_shift + opb.top_label) - s0
-        pk = _pk(spec.p, max(-(-digits // e), 1))  # p^K
-        stride = 2 * e - 1
-        bits = (2 * (pk - 1).bit_length()
-                + (min(len(opa.aligned), len(opb.aligned)) * e).bit_length())
-        nbytes = (bits + 7) // 8
-        count = length * stride
-        prod = (_image(opa, length, stride, pk, nbytes)
-                * _image(opb, length, stride, pk, nbytes))
-        coords = _from_int(prod & ((1 << (8 * nbytes * count)) - 1), count, nbytes)
-    zero = (0,) * e
-    out = []
-    for k, m in enumerate(labels):
-        if m is None:
-            out.append((0, zero, None))
-        elif coords is None or m <= s0:
-            out.append((m, zero, m))
-        else:
-            out.append((*_canon(spec, s0, coords[k * stride:(k + 1) * stride], m), m))
-    return _series(spec, out, cap)
+    """Coefficients 0..length-1 of x*y: the kernel's one-pair call."""
+    return _sum_products(x.spec, ((x, y),), length, cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,17 +427,7 @@ class USeries:
     def __mul__(self, other: "USeries | FElement") -> "USeries":
         if isinstance(other, FElement):
             return self.scalar_mul(other)
-        if self.cap is None and other.cap is None:
-            length = len(self.labels) + len(other.labels) - 1
-            cap = None
-        else:
-            cands = []
-            if self.cap is not None:
-                cands.append(self.cap + other._order_for_cap())
-            if other.cap is not None:
-                cands.append(other.cap + self._order_for_cap())
-            cap = length = min(cands)
-        return _product(self, other, length, cap)
+        return _product(self, other, *_extent(self, other))
 
     def scalar_mul(self, c) -> "USeries":
         """c times every coefficient; an exact zero stays exact, and an
@@ -378,6 +465,41 @@ class USeries:
         return "USeries[" + (" + ".join(terms) or "0") + tail + "]"
 
 
+def _extent(x: USeries, y: "USeries | FElement") -> tuple[int, int | None]:
+    """(length, cap) of x*y: x's own for an FElement y, as scalar_mul keeps
+    them; the full length of two polynomials; else the least cap_x + ord(y),
+    cap_y + ord(x)."""
+    if isinstance(y, FElement):
+        return len(x.labels), x.cap
+    if x.cap is None and y.cap is None:
+        return len(x.labels) + len(y.labels) - 1, None
+    cands = []
+    if x.cap is not None:
+        cands.append(x.cap + y._order_for_cap())
+    if y.cap is not None:
+        cands.append(y.cap + x._order_for_cap())
+    cap = min(cands)
+    return cap, cap
+
+
+def s_dot(pairs) -> USeries:
+    """sum x*y over the (x, y) in pairs, y a USeries or an FElement, in one
+    kernel call: the fields of folding USeries.__add__ over the products,
+    in any order.  A sum of two or more terms is a polynomial as long as
+    its longest term when every term is one, else capped at the least cap
+    of its terms."""
+    pairs = list(pairs)
+    extents = [_extent(x, y) for x, y in pairs]
+    caps = [c for _, c in extents if c is not None]
+    if len(pairs) == 1:
+        length, cap = extents[0]
+    elif caps:
+        length = cap = min(caps)
+    else:
+        length, cap = max(n for n, _ in extents), None
+    return _sum_products(pairs[0][0].spec, pairs, length, cap)
+
+
 def s_mul(a: USeries, b: USeries) -> USeries:
     return a * b
 
@@ -400,6 +522,38 @@ def s_compose(h: USeries, g: USeries) -> USeries:
     if h.cap is not None:
         # the unknown tail of h enters at order cap_h * ord(g)
         acc = acc.truncate(h.cap * max(g._order_for_cap(), 1))
+    return acc
+
+
+def _powers(g: USeries, top: int, length: int) -> list[USeries]:
+    """g, g^2, ..., g^top below u^length (cap length), one product each; g
+    must have constant term zero at precision, so every power reaches
+    length."""
+    out = [g.truncate(length)]
+    for _ in range(1, top):
+        out.append(_product(out[-1], g, length, length))
+    return out
+
+
+def _compose_powers(h: USeries, powers: list[USeries]) -> USeries:
+    """h(g) = h_0 + sum_{k>=1} h_k g^k from powers = [g, g^2, ...] (see
+    _powers), in one kernel call: the power-table form of s_compose, whose
+    labels depend on that evaluation scheme and are no lower than
+    Horner's.  h_0 enters exactly, by one addition at u^0."""
+    spec = h.spec
+    terms = [(powers[k - 1], h.coeff(k)) for k in range(1, len(h))
+             if h.labels[k] is not None]
+    if terms:
+        length = len(powers[0])
+        acc = _sum_products(spec, terms, length, length)
+        c0 = _add1(spec, acc.shifts[0], acc.units[0], acc.labels[0],
+                   h.shifts[0], h.units[0], h.labels[0])
+        acc = USeries(spec, (c0[0],) + acc.shifts[1:], (c0[1],) + acc.units[1:],
+                      (c0[2],) + acc.labels[1:], length)
+    else:
+        acc = USeries(spec, h.shifts[:1], h.units[:1], h.labels[:1], None)
+    if h.cap is not None:
+        acc = acc.truncate(h.cap * max(powers[0]._order_for_cap(), 1))
     return acc
 
 

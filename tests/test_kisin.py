@@ -49,6 +49,7 @@ from frobkit import (
     verify_height,
     xi_iterate,
 )
+from frobkit.series import _compose_powers, _powers, s_compose
 
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
@@ -828,3 +829,83 @@ def test_xi_labels_never_drop_when_N_or_M_rise(rank, seed, max_n, N, dN, M, dM):
         for y_lo, y_hi in zip(row_lo, row_hi, strict=True):
             for a, b in zip(y_lo.labels, y_hi.labels):
                 assert _label_not_lower(a, b)
+
+
+# --- the power-table composition of xi_iterate against Horner ----------------
+#
+# xi_iterate composes every entry of A with g_n from one power table
+# g_n, ..., g_n^D (series._powers, series._compose_powers).  Horner's
+# s_compose is the reference: on the same inputs no label may be lower and
+# every value must be congruent modulo the Horner label.
+
+Z3PI = FieldSpec(3, (-3, 0, 1))  # pi^2 = 3
+
+
+def _xi_field_module(name, rank, rng, absprec=16):
+    """A rank-1 unit*E or rank-2 U*diag(1, E)*V module over Z_3 (E = u - 3)
+    or over Z_3[pi] (E = u + pi), with f = u^3 + 9u."""
+    if name == "Z3":
+        spec, E = Q3, eisenstein_preset(Q3, "classical")
+    else:
+        spec, E = Z3PI, EisensteinE.make(Z3PI, [OFExact.pi(Z3PI), 1])
+    f = FrobLift.make(spec, [9, 0, 1])
+    if rank == 1:
+        unit = [rng.choice((1, 2)) + 3 * rng.randrange(3),
+                rng.randrange(3), rng.randrange(3)]
+        A = mat_mul(mat_make(spec, [[unit]], absprec=absprec),
+                    diag_with_E(spec, E, 1, [0], absprec=absprec))
+    else:
+        A = mat_mul(mat_mul(rand_unimod(spec, rng, absprec=absprec),
+                            diag_with_E(spec, E, 2, [1], absprec=absprec)),
+                    rand_unimod(spec, rng, absprec=absprec))
+    return KisinModule(spec, f, E, 1, A)
+
+
+def _assert_refines(old: USeries, new: USeries) -> int:
+    """new has old's cap and length, no lower label and a congruent value
+    at every coefficient; returns the number of labels that rose."""
+    assert (new.cap, len(new)) == (old.cap, len(old))
+    rose = 0
+    for a, b in zip(old.coeffs, new.coeffs):
+        assert _label_not_lower(a.label, b.label)
+        if a.label is not None:
+            assert b.congruent(a, a.label)
+            rose += b.label is None or b.label > a.label
+    return rose
+
+
+@given(name=st.sampled_from(("Z3", "Z3pi")), rank=st.sampled_from((1, 2)),
+       seed=st.integers(0, 10 ** 6), absprec=st.integers(6, 16),
+       L=st.integers(6, 30))
+@settings(max_examples=30, deadline=None)
+def test_power_table_composition_refines_horner(name, rank, seed, absprec, L):
+    m = _xi_field_module(name, rank, random.Random(seed), absprec)
+    f_ser = m.f.as_series(absprec + m.spec.e_F + 2)
+    top = max(len(x) for row in m.A for x in row) - 1
+    g = f_ser.truncate(L)
+    for _ in range(3):
+        powers = _powers(g, top, L)
+        for x in (entry for row in m.A for entry in row):
+            _assert_refines(s_compose(x, g).truncate(L),
+                            _compose_powers(x, powers).truncate(L))
+        g = s_compose(f_ser, g).truncate(L)
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z3pi"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_xi_gauges_match_the_horner_route(monkeypatch, name, rank, seed):
+    # the whole iteration with every entry composed by Horner: the same
+    # gauges and den, and Y refined label by label
+    m = _xi_field_module(name, rank, random.Random(seed))
+    new = xi_iterate(m, 4, u_order=36)
+    monkeypatch.setattr(kisin, "_powers", lambda g, top, length: [g])
+    monkeypatch.setattr(kisin, "_compose_powers",
+                        lambda h, powers: s_compose(h, powers[0]))
+    old = xi_iterate(m, 4, u_order=36)
+    assert new.gauges == old.gauges
+    assert new.den == old.den
+    rose = sum(_assert_refines(a, b) for row_a, row_b in zip(old.Y, new.Y)
+               for a, b in zip(row_a, row_b))
+    # the rank-2 modules over Z_3, as in the xi-rank2 benchmark, gain labels
+    assert (name, rank) != ("Z3", 2) or rose > 0

@@ -630,6 +630,10 @@ def ref_div(a: FElement, b: FElement) -> FElement:
 def ref_pow(a: FElement, n: int) -> FElement:
     if n < 0:
         return ref_div(FElement.one(a.spec, a.unit.prec), ref_pow(a, -n))
+    if a.label is None:
+        # the exact zero, which the OFElement route reads as a zero known
+        # modulo pi^0: its powers are exact
+        return a if n else FElement.one(a.spec)
     return FElement.make(a.unit ** n, a.shift * n)
 
 
@@ -653,3 +657,13 @@ def test_division_and_powers_match_the_ofelement_route(spec, data):
         assert outcome(operator.truediv, x, b) == outcome(ref_div, x, b)
     n = data.draw(st.integers(-4, 7))
     assert outcome(operator.pow, a, n) == outcome(ref_pow, a, n)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_powers_of_the_exact_zero_are_exact(spec):
+    zero = FElement.zero(spec)
+    assert zero ** 0 == FElement.one(spec)
+    for n in (1, 2, 5):
+        assert zero ** n == zero
+    with pytest.raises(PrecisionError):
+        zero ** -1

@@ -15,14 +15,16 @@ the same cap on random series over Z_3, Z_5, Z_3[pi] with pi^2 = 3, and
 Z_3 with uniformizer -6.
 """
 
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobkit.scalars import FElement, FieldSpec, OFElement, qp_spec
-from frobkit.series import USeries
+from frobkit.series import USeries, s_dot
 
 SPECS = {
     "Z3": qp_spec(3),
@@ -208,3 +210,75 @@ def test_felement_ops_match_ofelement_reference(name, seed):
         assert a + b == ref_add(a, b)
         assert a * b == ref_mul(a, b)
         assert -a == ref_neg(a)
+
+
+# --- the sum-of-products kernel against the fold of products -----------------
+#
+# s_dot forms sum x_k * y_k in one kernel call; its reference is the fold
+# of USeries.__mul__ (the kernel's one-pair call, checked above against
+# the FElement loop) and USeries.__add__, in either order.  The fields
+# must match label by label, over e_F = 1, 2 and 3 and over p = 2.
+
+DOT_SPECS = {
+    **SPECS,
+    "Z2": qp_spec(2),
+    "Z2pi": FieldSpec(2, (2, 2, 1)),
+    "Z3pi3": FieldSpec(3, (3, 3, 0, 1)),
+}
+
+
+def dot_coeff(rng, spec):
+    """An exact zero, a zero at a label (below 0 at times), or a visible
+    value with a shift below 0 at times."""
+    kind = rng.random()
+    if kind < 0.15:
+        return FElement.zero(spec)
+    if kind < 0.3:
+        return FElement.zero_at(spec, rng.randint(-4, 12))
+    coords = [rng.randrange(-spec.p ** 15, spec.p ** 15) for _ in range(spec.e_F)]
+    unit = OFElement.from_coords(spec, coords, rng.randint(1, 14))
+    return FElement.make(unit, rng.randint(-3, 4))
+
+
+def dot_series(rng, spec):
+    """A polynomial or a capped series whose order (its leading exact or
+    placeholder zeros) and cap vary."""
+    lead = [rng.choice((FElement.zero(spec),
+                        FElement.zero_at(spec, rng.randint(-2, 9))))
+            for _ in range(rng.choice((0, 0, 1, 3)))]
+    cs = lead + [dot_coeff(rng, spec) for _ in range(rng.randint(1, 14))]
+    poly = USeries.make(spec, cs)
+    if rng.random() < 0.4:
+        return poly
+    return with_cap(poly, len(cs) + rng.choice((0, 0, 1, 4)))
+
+
+def fields_of(x: USeries) -> tuple:
+    return x.shifts, x.units, x.labels, x.cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9))
+def test_sum_of_products_matches_the_fold(name, seed):
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    scalars = rng.random() < 0.4
+    pairs = [(dot_series(rng, spec),
+              dot_coeff(rng, spec) if scalars else dot_series(rng, spec))
+             for _ in range(rng.randint(1, 5))]
+    got = fields_of(s_dot(pairs))
+    products = [x * y for x, y in pairs]
+    assert got == fields_of(reduce(operator.add, products))
+    assert got == fields_of(reduce(operator.add, reversed(products)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9))
+def test_an_felement_factor_is_scalar_mul(name, seed):
+    # a constant factor keeps the length and cap of the series, and an
+    # exact zero gives exact zeros, as scalar_mul does
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    x = dot_series(rng, spec)
+    for c in (dot_coeff(rng, spec), FElement.zero(spec), FElement.zero_at(spec, -2)):
+        assert fields_of(s_dot([(x, c)])) == fields_of(x.scalar_mul(c))

@@ -27,20 +27,18 @@ import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "bench")]
-
-from bench.workloads import WORKLOADS  # noqa: E402
-from frobkit.cli import run  # noqa: E402
 
 SEEDS = range(1, 9)
 ROUNDS = 4
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def reports(tree: str = ROOT):
+    """(workload, seed, kind, status, stdout, stderr) of every harness job,
+    run in process with frobkit imported from src/ of tree."""
+    sys.path[:0] = [os.path.join(tree, "src"), tree, os.path.join(tree, "bench")]
+    from bench.workloads import WORKLOADS
+    from frobkit.cli import run
 
-
-def main() -> int:
     # the jobs' default precision must not depend on the caller's environment
     os.environ.pop("FROBKIT_PRECISION", None)
     for name, spec in WORKLOADS.items():
@@ -55,9 +53,16 @@ def main() -> int:
                             status = run(job.argv)
                         except Exception as exc:  # a traceback names paths
                             status = f"raised {type(exc).__name__}: {exc}"
-                    print(f"{name} {seed} {job.kind} {status} "
-                          f"{_sha(out.getvalue())} {_sha(err.getvalue())}",
-                          flush=True)
+                    yield name, seed, job.kind, status, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    for name, seed, kind, status, out, err in reports():
+        print(f"{name} {seed} {kind} {status} {_sha(out)} {_sha(err)}", flush=True)
     return 0
 
 
