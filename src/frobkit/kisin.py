@@ -57,7 +57,9 @@ Mat = tuple  # d rows of d entries, row-major
 def _one_like(x):
     if isinstance(x, USeries):
         return USeries.one(x.spec, absprec=2 * DEFAULT_PREC)
-    return FElement.one(x.spec, max(x.absprec, DEFAULT_PREC))
+    if x.label is None:  # exact: the default one, not one modulo pi^inf
+        return FElement.one(x.spec)
+    return FElement.one(x.spec, max(x.label, DEFAULT_PREC))
 
 
 def mat_make(spec: FieldSpec, rows, absprec: int = DEFAULT_PREC) -> Mat:

@@ -774,6 +774,8 @@ class FElement:
 
     @classmethod
     def from_int(cls, spec: FieldSpec, n: int, prec: int = DEFAULT_PREC) -> "FElement":
+        if not isinstance(prec, int):
+            raise ValueError(f"precision must be an integer, not {prec!r}")
         return cls.make(OFElement.from_int(spec, n, prec))
 
     @classmethod

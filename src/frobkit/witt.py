@@ -2,13 +2,15 @@
 
 The symbolic layer builds the sum/product polynomials S_m, P_m from the
 ghost recursion on integer coordinates of O_F (one denominator per
-polynomial) and asserts their integrality; witt_polys hands them out with
-exact OFExact coefficients.  For evaluation each set is compiled once into
-nested Horner tries over one common denominator D, evaluated on plain
-integers with one power table per variable: the ghost self-test compares
-D^(p^m)-scaled ghost coordinates exactly on integers, and the residues of
-the same tries drive the value layer.  eval_poly_exact and ghost_map are
-the OFExact reference for both.
+polynomial) and asserts their integrality; witt_polys keeps those integer
+pairs and also hands the polynomials out with exact OFExact coefficients.
+Every evaluation runs on one pipeline, ints -> tries -> residue tries: each
+set's integer pairs are compiled once into nested Horner tries over one
+common denominator D, which the ghost self-test evaluates on plain integers
+with one power table per variable, comparing D^(p^m)-scaled ghost
+coordinates exactly; the same tries with every coefficient reduced to its
+F_p residue are what the value layer evaluates.  eval_poly_exact and
+ghost_map are the OFExact reference for both.
 
 The value layer evaluates them over PerfSeries, a truncated model of
 k[[ubar^(1/p^oo)]]: exponents are rationals with denominator p^J stored as
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -184,14 +186,6 @@ def _ghost_poly(spec: FieldSpec, n: int, m: int, offset: int) -> tuple[dict, int
     return out, 1
 
 
-def _poly_from_exact(spec: FieldSpec, poly: dict) -> tuple[dict, int]:
-    """An OFExact polynomial as integer coordinates over one denominator."""
-    make = _ring(spec).make
-    den = math.lcm(*(c.den for c in poly.values()))
-    return {k: make(tuple(x * (den // c.den) for x in c.num))
-            for k, c in poly.items()}, den
-
-
 def _poly_to_exact(spec: FieldSpec, poly: tuple[dict, int]) -> dict:
     coords = _ring(spec).coords
     terms, den = poly
@@ -249,10 +243,14 @@ def ghost_map(spec: FieldSpec, comps: list[OFExact]) -> list[OFExact]:
 
 @dataclass(frozen=True)
 class WittPolySet:
+    """S_m and P_m with OFExact coefficients; ints holds the same
+    S_0..S_{n-1}, P_0..P_{n-1} as the (terms, den) pairs they were built as."""
+
     spec: FieldSpec
     length: int
     sums: tuple[dict, ...]
     prods: tuple[dict, ...]
+    ints: tuple[tuple[dict, int], ...] = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +260,8 @@ def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
     pi^m S_m = w_m(x) + w_m(y) - sum_{j<m} pi^j S_j^(p^(m-j)), and the
     product analogue with w_m(x) * w_m(y); a failed exact division is
     reported with the offending monomial.  The recursion runs on integer
-    coordinates; each coefficient becomes an OFExact once, at the end.
+    coordinates, which the set keeps; each coefficient also becomes an
+    OFExact once, at the end.
     """
     if n < 1 or n > WITT_LENGTH_BOUND:
         raise ValueError(f"Witt length must be within 1..{WITT_LENGTH_BOUND}")
@@ -283,7 +282,8 @@ def witt_polys(n: int, spec: FieldSpec) -> WittPolySet:
                     spec, _poly_pow(spec, acc_list[j], p ** (m - j)), neg_pis[j]))
             acc_list.append(_div_pi(spec, rem, m))
     return WittPolySet(spec, n, tuple(_poly_to_exact(spec, s) for s in sums),
-                       tuple(_poly_to_exact(spec, s) for s in prods))
+                       tuple(_poly_to_exact(spec, s) for s in prods),
+                       tuple(sums + prods))
 
 
 # --- compiled evaluation -----------------------------------------------------
@@ -307,22 +307,6 @@ def _trie(terms: dict, nvars: int) -> tuple[tuple[int, ...], tuple]:
         return tuple((e, build(g, level + 1)) for e, g in sorted(groups.items()))
 
     return order, build(list(terms.items()), 0)
-
-
-def _trie_terms(trie: tuple, nvars: int):
-    """Yield (exponent tuple, coefficient) for every term of a trie."""
-    order, root = trie
-    key = [0] * nvars
-
-    def walk(node, level):
-        if level == len(order):
-            yield tuple(key), node
-            return
-        for e, child in node:
-            key[order[level]] = e
-            yield from walk(child, level + 1)
-
-    yield from walk(root, 0)
 
 
 def _eval_trie(node, tabs: list, mul, add, level: int = 0):
@@ -404,10 +388,12 @@ class _CompiledPolys:
         return True
 
 
-def _compile(ps: WittPolySet) -> _CompiledPolys:
-    spec, n = ps.spec, ps.length
+@lru_cache(maxsize=None)
+def _int_tries(n: int, spec: FieldSpec) -> _CompiledPolys:
+    """The integer pairs of witt_polys(n, spec) over their common
+    denominator, compiled to tries."""
+    polys = witt_polys(n, spec).ints
     ring = _ring(spec)
-    polys = [_poly_from_exact(spec, poly) for poly in ps.sums + ps.prods]
     den = math.lcm(*(d for _, d in polys))
     tries = []
     for terms, d in polys:
@@ -421,34 +407,37 @@ def _compile(ps: WittPolySet) -> _CompiledPolys:
                           tuple(sizes))
 
 
-@lru_cache(maxsize=None)
-def _compiled_polys(n: int, spec: FieldSpec) -> _CompiledPolys:
-    return _compile(witt_polys(n, spec))
+def _residues(node, depth: int, inv: int, p: int, coords):
+    """A trie node with every coefficient c replaced by its F_p residue
+    c / den mod pi; vanishing leaves and emptied branches are dropped, and
+    an empty node is ()."""
+    if not depth:
+        return coords(node)[0] * inv % p
+    out = []
+    for e, child in node:
+        child = _residues(child, depth - 1, inv, p, coords)
+        if child:
+            out.append((e, child))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _reduced_polys(n: int, spec: FieldSpec) -> tuple[list[dict], list[dict]]:
-    """S/P coefficients reduced to F_p residues (vanishing terms dropped)."""
-    cp = _compiled_polys(n, spec)
+def _reduced_polys(n: int, spec: FieldSpec) -> tuple[list[tuple], list[tuple]]:
+    """S_m and P_m as residue tries: the integer tries of _int_tries with
+    the same levels, each coefficient reduced to its F_p residue, vanishing
+    leaves and emptied branches dropped (a root () is the zero polynomial)."""
+    cp = _int_tries(n, spec)
     p, coords = spec.p, _ring(spec).coords
     inv = pow(cp.den, -1, p)
-    red: tuple[list[dict], list[dict]] = ([], [])
-    for tries, out in zip((cp.sums, cp.prods), red):
-        for trie in tries:
-            d = {}
-            for kk, c in _trie_terms(trie, 2 * n):
-                r = coords(c)[0] * inv % p
-                if r:
-                    d[kk] = r
-            out.append(d)
-    return red
+    return tuple([(order, _residues(root, len(order), inv, p, coords))
+                  for order, root in tries] for tries in (cp.sums, cp.prods))
 
 
 def ghost_trials(spec: FieldSpec, n: int, trials: int, rng: random.Random) -> int:
     """How many of trials random integral points (coordinates drawn from
     rng in -4..4) satisfy w(S) = w(x) + w(y) and w(P) = w(x) * w(y)
     exactly in every ghost coordinate of length n."""
-    cp = _compiled_polys(n, spec)  # integrality is enforced in construction
+    cp = _int_tries(n, spec)  # integrality is enforced in construction
     make = _ring(spec).make
     return sum(cp.holds_at([make(tuple(rng.randint(-4, 4) for _ in range(spec.e_F)))
                             for _ in range(2 * n)])
@@ -716,54 +705,60 @@ def teich(r: PerfSeries, n: int, spec: FieldSpec) -> WittVec:
     return WittVec(spec, (r,) + (r.zero_like(),) * (n - 1))
 
 
-def _eval_reduced(poly: dict, point: list[PerfSeries],
-                  model: PerfSeries) -> PerfSeries:
-    # per-variable power cache; exponents decompose base p, Frobenius is free
-    cache: dict[tuple[int, int], PerfSeries] = {}
+def _horner(node, xs: list, powers: list, level: int, model: PerfSeries):
+    """sum_e child * x^e over a residue trie node, x = xs[level] with its
+    powers cached in powers[level]; None when every branch is exactly zero."""
+    x, cache = xs[level], powers[level]
+    leaf = level + 1 == len(xs)
     acc = None
-    for key, c in poly.items():
-        term = None
-        for idx, e in enumerate(key):
-            if not e:
-                continue
-            x = point[idx]
+    for e, child in node:
+        if e:
             if x.bound is None and not x.terms:
-                # an exact zero factor makes the term exactly zero; a
-                # truncated zero must still carry its bound into the term
-                term = model.zero_like()
-                break
-            v = cache.get((idx, e))
-            if v is None:
-                v = x.pow(e)
-                cache[(idx, e)] = v
-            term = v if term is None else term * v
+                break  # exactly zero, as is every later branch (e increases)
+            xe = cache.get(e)
+            if xe is None:
+                xe = cache[e] = x.pow(e)
+        if leaf:
+            v = xe.scale(child) if e else model.const_like(child)
         else:
-            term = model.const_like(c) if term is None else term.scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = PerfSeries(model.p, model.J, (), _bmin(*(x.bound for x in point)),
-                         model.full)
+            v = _horner(child, xs, powers, level + 1, model)
+            if v is None:
+                continue
+            if e:
+                v = xe * v
+        acc = v if acc is None else acc + v
     return acc
 
 
-def _binary_op(a: WittVec, b: WittVec, which: str) -> WittVec:
+def _eval_reduced(trie: tuple, point: list[PerfSeries],
+                  model: PerfSeries) -> PerfSeries:
+    """A residue trie at a point, by Horner over its levels.  A branch under
+    an exact-zero power is skipped, a truncated zero keeps its bound, and
+    the zero polynomial is a zero bounded by the least bound of the point."""
+    order, root = trie
+    if not root:
+        return PerfSeries(model.p, model.J, (), _bmin(*(x.bound for x in point)),
+                          model.full)
+    acc = _horner(root, [point[v] for v in order], [{} for _ in order], 0,
+                  model)
+    return model.zero_like() if acc is None else acc
+
+
+def _binary_op(a: WittVec, b: WittVec, which: int) -> WittVec:
+    """Componentwise S_m (which 0) or P_m (which 1) of a and b."""
     if a.spec != b.spec or a.length != b.length:
         raise ValueError("Witt operands must share spec and length")
-    n = a.length
-    red_s, red_p = _reduced_polys(n, a.spec)
-    polys = red_s if which == "S" else red_p
     point = list(a.comps) + list(b.comps)
-    model = a.comps[0]
-    return WittVec(a.spec, tuple(_eval_reduced(polys[m], point, model)
-                                 for m in range(n)))
+    return WittVec(a.spec, tuple(_eval_reduced(trie, point, a.comps[0]) for trie
+                                 in _reduced_polys(a.length, a.spec)[which]))
 
 
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    return _binary_op(a, b, "S")
+    return _binary_op(a, b, 0)
 
 
 def witt_mul(a: WittVec, b: WittVec) -> WittVec:
-    return _binary_op(a, b, "P")
+    return _binary_op(a, b, 1)
 
 
 def witt_neg(a: WittVec) -> WittVec:

@@ -340,3 +340,25 @@ def test_bench_tracer_finds_every_name_it_wraps():
         [sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_counts_witt_polynomial_construction():
+    # the traced witt.polys_built and witt.polys_s see construction only
+    # through the witt_polys wrapper, so a build that bypasses witt_polys
+    # would read 0 in both instead of failing
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys, io, json, contextlib; sys.path[:0] = sys.argv[1:]; "
+            "import frobkit.cli; from tracing import Tracer; t = Tracer(); "
+            "t.install(); t.active = True\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = frobkit.cli.run(['witt-selftest', '--witt-len', '2'])\n"
+            "t.active = False; m = t.metrics()\n"
+            "print(json.dumps([rc, m['witt.polys_built'][0], m['witt.polys_s'][0]]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, built, secs = json.loads(proc.stdout)
+    assert rc == 0
+    assert built >= 1
+    assert secs > 0

@@ -77,6 +77,22 @@ EXACT_GOLDEN = [
 ]
 
 
+# fixed points whose A_max cut truncates a component (the third one of the
+# lubin-tate job is bounded at 12 * 5^6 = 187500), recorded before the Witt
+# value layer evaluated its residue tries by Horner
+TRUNCATION_GOLDEN = [
+    (["fixedpoint", "--preset", "cyclotomic", "--p", "3", "--witt-len", "4",
+      "--A-max", "12"],
+     "ff0d375d8e160cefb0df5d882e64ddf1739e462d52cb7d5d8dea522d60dcadfd"),
+    (["fixedpoint", "--preset", "twisted", "--p", "5", "--witt-len", "3",
+      "--A-max", "12"],
+     "0243caa2f49ab872a29dfadab23c71cdd2faad57890411d880d9455006312191"),
+    (["fixedpoint", "--preset", "lubin-tate", "--p", "5", "--base-g",
+      "[-5,0,1]", "--E", "[[0,1],1]", "--witt-len", "3", "--A-max", "12"],
+     "58da09ce0abe94f14e15717356e040aff1f00c641998e772a970c0cc5fe6db98"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
@@ -104,6 +120,15 @@ def test_kisin_cli_report_is_unchanged(capsys, argv, digest):
                               "fixedpoint ramified 1/2", "hypothesis 3/2",
                               "intertwine 9/4"])
 def test_exact_fraction_report_is_unchanged(capsys, argv, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", TRUNCATION_GOLDEN,
+                         ids=["cyclotomic p3 len4", "twisted p5 len3",
+                              "lubin-tate Z5pi len3"])
+def test_truncated_fixed_point_report_is_unchanged(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

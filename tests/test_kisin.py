@@ -21,6 +21,7 @@ import frobkit.kisin as kisin
 from frobkit import (
     AtLeast,
     EisensteinE,
+    FElement,
     FieldSpec,
     FrobLift,
     IndeterminateError,
@@ -49,6 +50,7 @@ from frobkit import (
     verify_height,
     xi_iterate,
 )
+from frobkit.scalars import DEFAULT_PREC
 from frobkit.series import _compose_powers, _powers, s_compose
 
 Q3 = qp_spec(3)
@@ -156,6 +158,21 @@ def test_mat_adjugate_identity():
             for j in range(d):
                 want = det if i == j else det - det
                 assert (prod[i][j] - want).is_zero_at_prec()
+
+
+def test_adjugate_of_a_scalar_is_one_at_a_finite_label():
+    # the 1x1 adjugate is one known modulo pi^max(label, DEFAULT_PREC); an
+    # exact entry gets the DEFAULT_PREC one instead of a one modulo pi^inf
+    for x, label in ((FElement.zero(Q3), DEFAULT_PREC),
+                     (FElement.zero_at(Q3, 5), DEFAULT_PREC),
+                     (FElement.from_int(Q3, 2, 20), 20)):
+        (one,), = mat_adj(((x,),))
+        assert one == FElement.one(Q3, label)
+        assert (one.low, one.coords, one.label) == (0, (1,), label)
+    with pytest.raises(ValueError, match="precision must be an integer"):
+        FElement.one(Q3, float("inf"))
+    with pytest.raises(ValueError, match="precision must be an integer"):
+        FElement.from_int(Q3, 1, 2.0)
 
 
 def test_mat_det_multiplicative():

@@ -16,17 +16,16 @@ import pytest
 
 from frobkit.errors import BudgetError, IntegralityError
 from frobkit.scalars import FieldSpec, OFExact, qp_spec
-from frobkit.series import eisenstein_preset, frob_preset
+from frobkit.series import PRESET_NAMES, EisensteinE, FrobLift, eisenstein_preset, frob_preset
 from frobkit.witt import (
     PerfSeries,
     WittVec,
-    _compiled_polys,
     _div_pi,
     _eval_reduced,
+    _int_tries,
     _reduced_polys,
     _ring,
     _trie,
-    _trie_terms,
     check_E_reduction,
     e_reduction_report,
     eval_poly_exact,
@@ -164,7 +163,7 @@ def test_compiled_evaluation_matches_exact_reference(spec, n):
     """Each compiled S_m, P_m, read as its numerator over the common
     denominator, equals eval_poly_exact at random integral points."""
     ps = witt_polys(n, spec)
-    cp = _compiled_polys(n, spec)
+    cp = _int_tries(n, spec)
     assert (cp.den > 1) == (spec is Z6 and n > 1)
     coords = _ring(spec).coords
     den = ex(spec, cp.den)
@@ -186,10 +185,15 @@ def test_int_ghost_check_rejects_a_corrupted_coefficient(spec, which):
     coordinate its monomial does not vanish, so w_2 of the sum or product
     is off by pi^2 times a nonzero value and every trial must fail."""
     n = 3
-    cp = _compiled_polys(n, spec)
+    cp = _int_tries(n, spec)
     ring = _ring(spec)
     tries = list(getattr(cp, which))
-    terms = dict(_trie_terms(tries[2], 2 * n))
+    # S_2 or P_2 over the compiled denominator, from the integer pairs the
+    # tries were compiled from
+    terms, den = witt_polys(n, spec).ints[2 if which == "sums" else n + 2]
+    scale = ring.of_int(cp.den // den)
+    terms = {k: ring.mul(scale, c) for k, c in terms.items()}
+    assert _trie(terms, 2 * n) == tries[2]
     key = max(terms)
     terms[key] = ring.add(terms[key], ring.one)
     tries[2] = _trie(terms, 2 * n)
@@ -381,7 +385,13 @@ def test_reduced_evaluation_matches_exact_layer():
 
 
 def eval_through(poly, point, model):
-    """_eval_reduced multiplying through every factor, exact zeros too."""
+    """The term-by-term loop the residue tries replaced: every term of a
+    dict of F_p residues multiplied through every factor, exact zeros too;
+    the zero polynomial is a zero bounded by the least bound of the point."""
+    if not poly:
+        bounds = [x.bound for x in point if x.bound is not None]
+        return PerfSeries(model.p, model.J, (), min(bounds, default=None),
+                          model.full)
     acc = None
     for key, c in poly.items():
         term = model.const_like(1)
@@ -393,11 +403,14 @@ def eval_through(poly, point, model):
 
 
 def test_exact_zero_factor_ends_its_term():
-    # exact zeros, truncated zeros and bounded values, at Witt length 3:
-    # ending a term at an exact zero factor changes no term, no bound, and
-    # leaves an exact zero when every term ends that way
+    # the residue tries, by Horner with exact-zero branches skipped, against
+    # the term-by-term loop on the OFExact residues, at exact zeros,
+    # truncated zeros and bounded values: the same terms below the lower
+    # bound, exact where the loop is exact, and otherwise a bound never lower
+    # than the loop's (a factored sum may cancel below the loop's bound);
+    # all-zero points give an exact zero
     rng = random.Random(7)
-    for spec in (Q2, Q3):
+    for spec in (Q2, Q3, RAM3):
         p = spec.p
         model = PerfSeries.ubar(p)
         kinds = [model.zero_like(),
@@ -405,16 +418,24 @@ def test_exact_zero_factor_ends_its_term():
                  PerfSeries.make(p, model.J, {p ** model.J: 1, 2 * p ** model.J: 1},
                                  bound=5 * p ** model.J),
                  model, model.const_like(1)]
-        red_s, red_p = _reduced_polys(3, spec)
-        for _ in range(12):
-            point = [rng.choice(kinds) for _ in range(6)]
-            for poly in red_s + red_p:
-                assert _eval_reduced(poly, point, model) == \
-                    eval_through(poly, point, model)
-        zeros = [model.zero_like()] * 6
-        for poly in red_p:
-            got = _eval_reduced(poly, zeros, model)
-            assert got.is_zero() and got.bound is None
+        for n in (2, 3, 4):
+            ps = witt_polys(n, spec)
+            red_s, red_p = _reduced_polys(n, spec)
+            refs = [{k: r for k, c in poly.items() if (r := c.residue())}
+                    for poly in ps.sums + ps.prods]
+            for _ in range(30):
+                point = [rng.choice(kinds) for _ in range(2 * n)]
+                for trie, ref in zip(red_s + red_p, refs):
+                    got = _eval_reduced(trie, point, model)
+                    want = eval_through(ref, point, model)
+                    assert got.agrees(want)
+                    assert (got.bound is None) == (want.bound is None)
+                    if want.bound is not None:
+                        assert got.bound >= want.bound
+            zeros = [model.zero_like()] * (2 * n)
+            for trie in red_p:
+                got = _eval_reduced(trie, zeros, model)
+                assert got.is_zero() and got.bound is None
 
 
 def test_frob_is_ring_hom_and_invertible():
@@ -548,3 +569,170 @@ def test_witt_json_roundtrip():
     blobs = u.to_json()
     back = WittVec(Q3, tuple(PerfSeries.from_json(3, b) for b in blobs))
     assert back.agrees(u)
+
+
+# --- an independent model of W_{O_F}(R) --------------------------------------
+#
+# For R = F_p[[u^(1/p^oo)]], W_{O_F}(R) = O_F (x) W(R): the pi-typical vector
+# (x_0, x_1, ...) is sum_j pi^j [x_j^(1/p^j)], the Teichmueller lift of a
+# monomial is that monomial, [y] = (any lift of y^(1/p^k))^(p^k) modulo
+# pi^(k+1), and Frobenius multiplies exponents by p and fixes O_F.  So the
+# fixed point of phi(u) = f(u) is plain polynomial arithmetic over O_F/pi^n,
+# iterated as U <- f(phi^-1(U)) from U = u, with no S_m or P_m.  The A_max
+# cut of the value layer leaves it trustworthy below A_max/p^(n-1).
+
+class TeichModel:
+    """O_F[u^(1/p^oo)] modulo (pi^n, exponents >= cut): dicts from Fraction
+    exponents to elements of witt._ring(spec), coordinate i reduced modulo
+    p^ceil((n - i)/e_F), zeros dropped (pi^e_F = p times a unit here)."""
+
+    def __init__(self, spec, n, cut):
+        self.spec, self.n, self.cut = spec, n, cut
+        self.ring = _ring(spec)
+        self.mods = [spec.p ** -((i - n) // spec.e_F) for i in range(spec.e_F)]
+
+    def clean(self, d):
+        make, coords, zero = self.ring.make, self.ring.coords, self.ring.zero
+        out = {}
+        for k, c in d.items():
+            c = make(tuple(x % m for x, m in zip(coords(c), self.mods)))
+            if k < self.cut and c != zero:
+                out[k] = c
+        return out
+
+    def add(self, a, b):
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = self.ring.add(out[k], c) if k in out else c
+        return self.clean(out)
+
+    def mul(self, a, b):
+        add, mul = self.ring.add, self.ring.mul
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k, c = ka + kb, mul(ca, cb)
+                if k < self.cut:
+                    out[k] = add(out[k], c) if k in out else c
+        return self.clean(out)
+
+    def pth(self, a):
+        out = a
+        for _ in range(self.spec.p - 1):
+            out = self.mul(out, a)
+        return out
+
+    def const(self, c: OFExact):
+        inv = pow(c.den, -1, self.spec.p ** self.n)
+        return self.clean({Fraction(0): self.ring.make(tuple(x * inv for x in c.num))})
+
+    def poly(self, coeffs, x):
+        """sum_i coeffs[i] x^i by Horner."""
+        acc = {}
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), self.const(c))
+        return acc
+
+    def teich_sum(self, u: WittVec, J: int):
+        """sum_j pi^j [x_j^(1/p^j)] of a value-layer vector, with [y] taken
+        as (the lift of y^(1/p^k))^(p^k) modulo pi^(k+1), k = n - 1 - j."""
+        p, ring = self.spec.p, self.ring
+        acc, pi_j = {}, ring.one
+        for j, x in enumerate(u.comps):
+            k = self.n - 1 - j
+            t = self.clean({Fraction(a, p ** (J + j + k)): ring.of_int(c)
+                            for a, c in x.terms})
+            for _ in range(k):
+                t = self.pth(t)
+            acc = self.add(acc, self.mul({Fraction(0): pi_j}, t))
+            pi_j = ring.mul(pi_j, ring.pi)
+        return acc
+
+
+def model_fixed_point(f, n, A_max):
+    """The model and its fixed point of U <- f(phi^-1(U)) from U = u."""
+    model = TeichModel(f.spec, n, A_max)
+    coeffs = [OFExact.zero(f.spec), *f.coeffs]
+    U = {Fraction(1): model.ring.one}
+    for _ in range(2 * n + 2):
+        nxt = model.poly(coeffs, {k / f.spec.p: c for k, c in U.items()})
+        if nxt == U:
+            return model, U
+        U = nxt
+    raise AssertionError("the model iteration did not stabilize")
+
+
+def below(d, cut):
+    return {k: c for k, c in d.items() if k < cut}
+
+
+def oracle_lifts(spec, rng):
+    """The presets and three random lifts u^p + sum_{i<p} pi c_i u^i, the
+    c_i with denominators prime to p."""
+    p, pi = spec.p, OFExact.pi(spec)
+    out = [frob_preset(spec, name) for name in PRESET_NAMES]
+    for _ in range(3):
+        cs = [pi * ex(spec, [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                             for _ in range(spec.e_F)]) for _ in range(p - 1)]
+        out.append(FrobLift.make(spec, cs + [OFExact.one(spec)]))
+    return out
+
+
+@pytest.mark.parametrize("spec", [Q3, RAM3], ids=["Z3", "Z3pi"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_point_matches_the_teichmueller_model(spec, n):
+    # the value layer's fixed point, read as sum_j pi^j [x_j^(1/p^j)], is
+    # the model's below A_max/p^(n-1), with the default budget and with an
+    # A_max cut that truncates; its frob_matches_f verdict is the model's,
+    # and the lowest exponent of E(u) mod pi is the model's
+    rng = random.Random(61 + 10 * n + spec.e_F)
+    p = spec.p
+    E = EisensteinE.make(spec, [OFExact.pi(spec), 0, 1])  # u^2 + pi
+    compared = 0
+    for f in oracle_lifts(spec, rng):
+        for J, A_max in ((6, 32), (6, 12)):
+            rep = f_fixed_point_report(f, n, (J, A_max))
+            model, U = model_fixed_point(f, n, A_max)
+            cut = Fraction(A_max, p ** (n - 1))
+            got = TeichModel(spec, n, cut).teich_sum(rep["u"], J)
+            assert got == below(U, cut)
+            compared += len(got)
+            fU = model.poly([OFExact.zero(spec), *f.coeffs], U)
+            phiU = {p * k: c for k, c in U.items()}
+            assert rep["frob_matches_f"] == (below(fU, cut) == below(phiU, cut))
+            mod_pi = TeichModel(spec, 1, A_max)
+            alpha = min(mod_pi.poly(list(E.coeffs), mod_pi.clean(U)))
+            assert alpha == E.e0
+            assert e_reduction_report(E, rep["u"])["v_R_E_mod_pi"] == \
+                str(alpha * Fraction(1, E.e0 * spec.e_F))
+    assert compared >= 2 * len(PRESET_NAMES) + 6
+
+
+def test_teichmueller_model_catches_every_corruption():
+    # one coefficient of one component x_j of a Z_3 fixed point changed to
+    # the other nonzero residue: at exponent alpha with alpha/p^j below the
+    # compared range, sum_j pi^j [x_j^(1/p^j)] moves by pi^j times a unit
+    # there, so the model must see every such change
+    rng = random.Random(67)
+    p, J, A_max = 3, 6, 32
+    caught = tried = 0
+    for f in oracle_lifts(Q3, rng):
+        for n in (2, 3, 4):
+            u = f_fixed_point(f, n)
+            _, U = model_fixed_point(f, n, A_max)
+            cut = Fraction(A_max, p ** (n - 1))
+            model = TeichModel(Q3, n, cut)
+            want = below(U, cut)
+            assert model.teich_sum(u, J) == want
+            for j, x in enumerate(u.comps):
+                for i, (a, c) in enumerate(x.terms):
+                    if Fraction(a, p ** (J + j)) >= cut:
+                        continue
+                    terms = dict(x.terms)
+                    terms[a] = 3 - c
+                    bad = WittVec(Q3, u.comps[:j] + (PerfSeries.make(p, J, terms),)
+                                  + u.comps[j + 1:])
+                    tried += 1
+                    caught += model.teich_sum(bad, J) != want
+    assert tried >= 100
+    assert caught == tried
