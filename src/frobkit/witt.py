@@ -705,7 +705,7 @@ def teich(r: PerfSeries, n: int, spec: FieldSpec) -> WittVec:
     return WittVec(spec, (r,) + (r.zero_like(),) * (n - 1))
 
 
-def _horner(node, xs: list, powers: list, level: int, model: PerfSeries):
+def _horner(node, xs: list, powers: list, model: PerfSeries, level: int = 0):
     """sum_e child * x^e over a residue trie node, x = xs[level] with its
     powers cached in powers[level]; None when every branch is exactly zero."""
     x, cache = xs[level], powers[level]
@@ -721,7 +721,7 @@ def _horner(node, xs: list, powers: list, level: int, model: PerfSeries):
         if leaf:
             v = xe.scale(child) if e else model.const_like(child)
         else:
-            v = _horner(child, xs, powers, level + 1, model)
+            v = _horner(child, xs, powers, model, level + 1)
             if v is None:
                 continue
             if e:
@@ -739,8 +739,7 @@ def _eval_reduced(trie: tuple, point: list[PerfSeries],
     if not root:
         return PerfSeries(model.p, model.J, (), _bmin(*(x.bound for x in point)),
                           model.full)
-    acc = _horner(root, [point[v] for v in order], [{} for _ in order], 0,
-                  model)
+    acc = _horner(root, [point[v] for v in order], [{} for _ in order], model)
     return model.zero_like() if acc is None else acc
 
 

@@ -16,7 +16,13 @@ import pytest
 
 from frobkit.errors import BudgetError, IntegralityError
 from frobkit.scalars import FieldSpec, OFExact, qp_spec
-from frobkit.series import PRESET_NAMES, EisensteinE, FrobLift, eisenstein_preset, frob_preset
+from frobkit.series import (
+    PRESET_NAMES,
+    EisensteinE,
+    FrobLift,
+    eisenstein_preset,
+    frob_preset,
+)
 from frobkit.witt import (
     PerfSeries,
     WittVec,
