@@ -14,8 +14,9 @@ xi lands, give the residual coefficient of each degree d in O(p*s*d) scalar
 operations, so a whole solve is quadratic in M.  Those operations run on
 the (shift, unit, label) int triples of the coefficients, one _canon per
 dot product and one integer division per degree, never on FElement
-objects.  The verifier stays on direct composition as an independent
-oracle.
+objects.  The verifier composes directly with s_compose (baby steps and
+giant steps on the series kernel), an independent oracle that never
+reads the solver's table or columns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import PrecisionError, SpecMismatchError
 from .scalars import (DEFAULT_PREC, FElement, OFExact, _add1, _div1, _dot1, _neg1,
                       of_root)
-from .series import FrobLift, USeries, _as_felement, _flat, _series, s_compose
+from .series import FrobLift, USeries, _as_felement, _flat, _powers, _series, s_compose
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,8 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
         raise ValueError("mu0 must be a unit")
 
     a = _triples(f.as_series(absprec=n_start))[2:]  # a_2..a_p
-    f2s = f2.as_series(absprec=n_start).truncate(M + s)
-    powers = [f2s]
-    for _ in range(2, M):
-        powers.append((powers[-1] * f2s).truncate(M + s))
     # by_n[n][k - 1] = [f2^k]_n
-    by_n = list(zip(*map(_triples, powers)))
+    by_n = list(zip(*map(_triples, _powers(f2.as_series(absprec=n_start), M - 1, M + s))))
 
     xi: list = [(n_start, (0,) * spec.e_F, n_start), _flat(spec, mu0, n_start)]
     pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros
@@ -232,7 +229,8 @@ def verify_intertwine(f: FrobLift, f2: FrobLift, xi: USeries,
     """Direct-composition oracle: f(xi) - xi(f2) = 0 mod (x^M, pi^N).
 
     Both sides come from s_compose, never from the solver's power table
-    or xi-power columns, so a fault in those cannot vouch for itself.
+    or xi-power columns, so a fault in those cannot vouch for itself;
+    xi(f2) takes about 2*sqrt(M) kernel calls by giant steps.
     A coefficient below M only sees coefficients below M, so xi and f2 are
     cut at M before composing.
     """

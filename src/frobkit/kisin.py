@@ -487,9 +487,11 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     the powers g_n, ..., g_n^D (D the largest entry degree) are built
     once, and h(g_n) = h_0 + sum_k h_k g_n^k is one kernel call per entry
     (Brent, Kung, "Fast algorithms for manipulating formal power series",
-    1978).  Its labels follow that scheme and are no lower than Horner's
-    on the same inputs.  g_(n+1) = f(g_n) and the check compositions stay
-    on Horner's s_compose, an independent route.
+    1978): the one-block case of s_compose's giant steps, sharing one
+    table among all entries.  Its labels follow that scheme and are no
+    lower than Horner's on the same inputs.  g_(n+1) = f(g_n) (block size
+    1, Horner's rule) and the check compositions go through s_compose,
+    which never reads this table.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

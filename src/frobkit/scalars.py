@@ -132,15 +132,15 @@ def _reduce_poly(spec: FieldSpec, vec: list) -> list:
     """Reduce a coefficient list (any length) modulo g."""
     g, e = spec.eisenstein, spec.e_F
     vec = list(vec)
-    for d in range(len(vec) - 1, e - 1, -1):
+    n = len(vec)
+    if n <= e:
+        return vec + [0] * (e - n)
+    for d in range(n - 1, e - 1, -1):
         c = vec[d]
         if c:
-            vec[d] = 0
             for i in range(e):
                 vec[d - e + i] -= c * g[i]
-    vec = vec[:e]
-    while len(vec) < e:
-        vec.append(0)
+    del vec[e:]
     return vec
 
 
@@ -525,14 +525,14 @@ class OFElement:
         # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
         # once c_0 = p*w*t, as in div_pi
         vec = list(self.vec)
-        w_inv = pow(w, -1, _pk(p, spec.coeff_modulus_exp(prec, 0)))
+        w_inv = pow(w, -1, _moduli(p, e, prec)[0])
         for left in range(prec - 1, -1, -1):
-            d = vec[0] % p
+            c0 = vec[0]
+            d = c0 % p
             out.append(d)
-            t = (vec[0] - d) // p * w_inv
-            vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
-            vec = [c % _pk(p, spec.coeff_modulus_exp(left, i))
-                   for i, c in enumerate(vec)]
+            t = (c0 - d) // p * w_inv
+            vec.append(0)
+            vec = [(c - t * gi) % q for c, gi, q in zip(vec[1:], g[1:], _moduli(p, e, left))]
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -564,6 +564,30 @@ def _ofelt_zero(spec: FieldSpec, prec: int) -> "OFElement":
 # FElement and of a USeries slot, both run their arithmetic on them, and
 # _canon brings every result to the one normal form.
 
+# keyed on ints and int tuples, not on the FieldSpec, whose hash is Python
+@lru_cache(maxsize=None)
+def _moduli(p: int, e: int, prec: int) -> tuple[int, ...]:
+    """p^k_i, the modulus of coordinate i of a unit known modulo pi^prec,
+    e = e_F (see FieldSpec.coeff_modulus_exp)."""
+    return tuple(_pk(p, -((i - prec) // e)) if prec > i else 1 for i in range(e))
+
+
+@lru_cache(maxsize=None)
+def _pi_divisor(p: int, g: tuple[int, ...], v: int, prec: int) -> tuple:
+    """(p^v, h^v, w^-v mod p^k_0, the moduli at prec) for dividing by pi^v
+    over the field of Eisenstein polynomial g: with g_0 = p*w and
+    h = -(g_1 + g_2 pi + ... + pi^(e-1)), g(pi) = 0 gives pi*h = p*w, so
+    x/pi^v = x*h^v / (p*w)^v, and the coordinates of x*h^v are divisible
+    by p^v whenever pi^v divides x."""
+    spec = field_spec(p, g)
+    h = [-c for c in g[1:]]
+    hv = [1]
+    for _ in range(v):
+        hv = _reduce_poly(spec, _conv(hv, h))
+    mods = _moduli(p, spec.e_F, prec)
+    return _pk(p, v), tuple(hv), pow(g[0] // p, -v, mods[0]), mods
+
+
 def _canon(spec: FieldSpec, s: int, vec, m: int) -> tuple[int, tuple]:
     """(shift, unit) of pi^s * vec known modulo pi^m, vec any integral
     coordinates on 1, pi, pi^2, ...: (m, 0) when it vanishes there, else
@@ -572,24 +596,17 @@ def _canon(spec: FieldSpec, s: int, vec, m: int) -> tuple[int, tuple]:
     prec = m - s
     p, e = spec.p, spec.e_F
     if e > 1:
-        ks = [spec.coeff_modulus_exp(prec, i) for i in range(e)]
-        vec = [c % _pk(p, k) for c, k in zip(_reduce_poly(spec, vec), ks)]
+        vec = [c % q for c, q in zip(_reduce_poly(spec, vec), _moduli(p, e, prec))]
         if vec[0] % p:
             return s, tuple(vec)
         v = min((e * _vp_int(c, p) + i for i, c in enumerate(vec) if c), default=None)
         if v is None:
             return m, tuple(vec)
         if v:
-            # divide by pi^v as div_pi does: with c_0 = p*w*t,
-            # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
-            g = spec.eisenstein
-            mod = _pk(p, ks[0])
-            w_inv = pow(g[0] // p, -1, mod)
-            for _ in range(v):
-                t = vec[0] // p * w_inv % mod
-                vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
-            vec = [c % _pk(p, spec.coeff_modulus_exp(prec - v, i))
-                   for i, c in enumerate(vec)]
+            # value/pi^v = value * h^v / (p*w)^v (see _pi_divisor), exactly
+            pv, hv, w_inv, mods = _pi_divisor(p, spec.eisenstein, v, prec - v)
+            vec = [c // pv * w_inv % q
+                   for c, q in zip(_reduce_poly(spec, _conv(vec, hv)), mods)]
         return s + v, tuple(vec)
     c = vec[0] % _pk(p, prec) if prec > 0 else 0
     if not c:

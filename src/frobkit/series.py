@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .errors import IndeterminateError
 from .scalars import (
@@ -404,17 +404,7 @@ class USeries:
         return USeries(self.spec, *_window(self, cap), cap)
 
     def __add__(self, other: "USeries") -> "USeries":
-        caps = [c for c in (self.cap, other.cap) if c is not None]
-        if not caps:
-            length = max(len(self.labels), len(other.labels))
-            cap = None
-        else:
-            cap = length = min(caps)
-        spec = self.spec
-        return _series(spec, [
-            _add1(spec, *a, *b) for a, b in zip(zip(*_window(self, length)),
-                                                zip(*_window(other, length)))
-        ], cap)
+        return self._plus(other, False)
 
     def __neg__(self) -> "USeries":
         spec = self.spec
@@ -422,7 +412,22 @@ class USeries:
                               zip(self.shifts, self.units, self.labels)], self.cap)
 
     def __sub__(self, other: "USeries") -> "USeries":
-        return self + (-other)
+        return self._plus(other, True)
+
+    def _plus(self, other: "USeries", negate: bool) -> "USeries":
+        """self + other, or self + (-other) in the same pass."""
+        caps = [c for c in (self.cap, other.cap) if c is not None]
+        if not caps:
+            length = max(len(self.labels), len(other.labels))
+            cap = None
+        else:
+            cap = length = min(caps)
+        spec = self.spec
+        right = zip(*_window(other, length))
+        if negate:
+            right = (_neg1(spec, *b) for b in right)
+        return _series(spec, [_add1(spec, *a, *b)
+                              for a, b in zip(zip(*_window(self, length)), right)], cap)
 
     def __mul__(self, other: "USeries | FElement") -> "USeries":
         if isinstance(other, FElement):
@@ -504,54 +509,100 @@ def s_mul(a: USeries, b: USeries) -> USeries:
     return a * b
 
 
+def _block_size(m: int) -> int:
+    """The giant step of s_compose for an h of m coefficients: ceil(sqrt(m)),
+    or 1 (Horner) where that makes no fewer kernel calls than Horner's
+    m - 1.  Blocks of k cost k - 1 powers, one call per block below the
+    top one, and one for the top block unless it is a lone constant."""
+    k = isqrt(max(m - 1, 0)) + 1
+    blocks, top = divmod(max(m - 1, 0), k)
+    return k if (k - 1) + blocks + (top > 0) < m - 1 else 1
+
+
+def _compose_extent(h: USeries, g: USeries) -> tuple[int, int | None]:
+    """(length, cap) of h(g) by giant steps.  For a capped g it is the cap
+    cap_g + (j - 1) ord(g) of the first visible term h_j g^j (j >= 1; j =
+    len(h) when there is none), which Horner's cap equals whenever its
+    running sum from h_j on has a visible constant term; for a polynomial
+    g, the length of h(g) as a polynomial.  A capped h cuts it at cap_h *
+    ord(g), where the unknown tail of h enters."""
+    m, r = len(h), g._order_for_cap()
+    if g.cap is None:
+        length, cap = (m - 1) * (len(g) - 1) + 1, None
+    else:
+        j = next((j for j in range(1, m) if h.units[j][0]), m)
+        length = cap = g.cap + (j - 1) * r
+    if h.cap is not None and (cap is None or h.cap * max(r, 1) < cap):
+        length = cap = h.cap * max(r, 1)
+    return length, cap
+
+
 def s_compose(h: USeries, g: USeries) -> USeries:
-    """h(g(u)) by Horner; g must have constant term zero at precision."""
+    """h(g(u)); g must have constant term zero at precision.
+
+    Baby steps and giant steps (Paterson, Stockmeyer, SIAM J. Comput. 2,
+    1973; Brent, Kung, J. ACM 25, 1978, section 2), with k = _block_size:
+    g, ..., g^k are formed once, and from the top block of h down each
+    giant step acc * g^k + sum_{0<j<k} h_{ik+j} g^j is one kernel call,
+    about 2 sqrt(len(h)) calls in all instead of Horner's len(h) - 1.
+
+    k = 1 is Horner's rule, each step acc * g + h_n at the length and cap
+    of its product (_extent).  For k > 1 every power and every step is
+    formed at the length and cap of the result (_compose_extent), so that
+    nothing is cut short of it before the end.  The labels follow the
+    evaluation scheme: each is honest as any product's is, and a value is
+    congruent to Horner's at the lower of the two labels."""
     if g.order() == 0:
         raise ValueError("composition needs g(0) = 0")
-    spec = h.spec
-    top = len(h) - 1
-    acc = USeries(spec, h.shifts[top:], h.units[top:], h.labels[top:], None)
-    for n in range(top - 1, -1, -1):
-        # acc * g + h_n: only the constant term changes, since adding an
-        # exact zero leaves every other coefficient as it is
-        prod = acc * g
-        c0 = _add1(spec, prod.shifts[0], prod.units[0], prod.labels[0],
-                   h.shifts[n], h.units[n], h.labels[n])
-        acc = USeries(spec, (c0[0],) + prod.shifts[1:], (c0[1],) + prod.units[1:],
-                      (c0[2],) + prod.labels[1:], prod.cap)
-    if h.cap is not None:
-        # the unknown tail of h enters at order cap_h * ord(g)
-        acc = acc.truncate(h.cap * max(g._order_for_cap(), 1))
-    return acc
+    k = _block_size(len(h))
+    if k == 1:
+        return _compose_powers(h, [g], 1)
+    extent = _compose_extent(h, g)
+    return _compose_powers(h, _powers(g, k, extent[0]), k, extent)
 
 
 def _powers(g: USeries, top: int, length: int) -> list[USeries]:
-    """g, g^2, ..., g^top below u^length (cap length), one product each; g
-    must have constant term zero at precision, so every power reaches
-    length."""
-    out = [g.truncate(length)]
+    """g, g^2, ..., g^top below u^length, one product each: polynomials
+    when g is one and g^top fits below length, else capped at length.  The
+    unknown tail of a capped g is held as label-0 zeros up to length, so a
+    scalar times g scales it as a product with g does.  g must have
+    constant term zero at precision, so a capped power reaches length."""
+    if g.cap is not None or top * (len(g) - 1) >= length:
+        g = USeries(g.spec, *_window(g, length), length)
+    out = [g]
     for _ in range(1, top):
-        out.append(_product(out[-1], g, length, length))
+        out.append(_product(out[-1], g, length, g.cap))
     return out
 
 
-def _compose_powers(h: USeries, powers: list[USeries]) -> USeries:
-    """h(g) = h_0 + sum_{k>=1} h_k g^k from powers = [g, g^2, ...] (see
-    _powers), in one kernel call: the power-table form of s_compose, whose
-    labels depend on that evaluation scheme and are no lower than
-    Horner's.  h_0 enters exactly, by one addition at u^0."""
+def _compose_powers(h: USeries, powers: list[USeries], k: int | None = None,
+                    extent: tuple[int, int | None] | None = None) -> USeries:
+    """h(g) from powers = [g, ..., g^k] (see _powers) in blocks of k
+    coefficients of h; one block (k >= len(h), powers up to
+    g^(len(h) - 1)) by default.  From the top block down, block i is
+    h_ik + sum_{0<j<k} h_{ik+j} g^j plus, below the top one, acc * g^k with
+    acc the blocks above it: one kernel call at extent (length, cap), or
+    at the length and cap s_dot gives its terms when extent is None, and
+    h_ik added exactly at u^0.  An exact zero of h adds no term.  The
+    unknown tail of a capped h enters at order cap_h * ord(g)."""
     spec = h.spec
-    terms = [(powers[k - 1], h.coeff(k)) for k in range(1, len(h))
-             if h.labels[k] is not None]
-    if terms:
-        length = len(powers[0])
-        acc = _sum_products(spec, terms, length, length)
+    m = len(h)
+    k = k or m
+    acc = None
+    for lo in range(max(m - 1, 0) // k * k, -1, -k):
+        terms = [(powers[j - lo - 1], h.coeff(j)) for j in range(lo + 1, min(lo + k, m))
+                 if h.labels[j] is not None]
+        if acc is not None:
+            terms.append((acc, powers[k - 1]))
+        if not terms:
+            acc = USeries(spec, h.shifts[lo:lo + 1], h.units[lo:lo + 1],
+                          h.labels[lo:lo + 1], None)
+            continue
+        acc = s_dot(terms) if extent is None else _sum_products(spec, terms, *extent)
         c0 = _add1(spec, acc.shifts[0], acc.units[0], acc.labels[0],
-                   h.shifts[0], h.units[0], h.labels[0])
+                   h.shifts[lo], h.units[lo], h.labels[lo])
         acc = USeries(spec, (c0[0],) + acc.shifts[1:], (c0[1],) + acc.units[1:],
-                      (c0[2],) + acc.labels[1:], length)
-    else:
-        acc = USeries(spec, h.shifts[:1], h.units[:1], h.labels[:1], None)
+                      (c0[2],) + acc.labels[1:], acc.cap)
     if h.cap is not None:
         acc = acc.truncate(h.cap * max(powers[0]._order_for_cap(), 1))
     return acc

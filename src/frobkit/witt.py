@@ -730,16 +730,20 @@ def _horner(node, xs: list, powers: list, model: PerfSeries, level: int = 0):
     return acc
 
 
-def _eval_reduced(trie: tuple, point: list[PerfSeries],
-                  model: PerfSeries) -> PerfSeries:
+def _eval_reduced(trie: tuple, point: list[PerfSeries], model: PerfSeries,
+                  powers: list[dict] | None = None) -> PerfSeries:
     """A residue trie at a point, by Horner over its levels.  A branch under
     an exact-zero power is skipped, a truncated zero keeps its bound, and
-    the zero polynomial is a zero bounded by the least bound of the point."""
+    the zero polynomial is a zero bounded by the least bound of the point.
+    powers holds one {e: x^e} cache per variable of the point, to share
+    among the tries evaluated at it (fresh ones when None)."""
     order, root = trie
     if not root:
         return PerfSeries(model.p, model.J, (), _bmin(*(x.bound for x in point)),
                           model.full)
-    acc = _horner(root, [point[v] for v in order], [{} for _ in order], model)
+    if powers is None:
+        powers = [{} for _ in point]
+    acc = _horner(root, [point[v] for v in order], [powers[v] for v in order], model)
     return model.zero_like() if acc is None else acc
 
 
@@ -748,7 +752,8 @@ def _binary_op(a: WittVec, b: WittVec, which: int) -> WittVec:
     if a.spec != b.spec or a.length != b.length:
         raise ValueError("Witt operands must share spec and length")
     point = list(a.comps) + list(b.comps)
-    return WittVec(a.spec, tuple(_eval_reduced(trie, point, a.comps[0]) for trie
+    powers = [{} for _ in point]
+    return WittVec(a.spec, tuple(_eval_reduced(trie, point, a.comps[0], powers) for trie
                                  in _reduced_polys(a.length, a.spec)[which]))
 
 

@@ -8,10 +8,14 @@ to alter a report updates the hash here and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
+from test_series_kernel import compare_with_horner
 
+from frobkit import cli, intertwine, kisin, series
 from frobkit.cli import run
+from frobkit.series import _block_size
 
 GOLDEN = [
     (["tower", "--preset", "cyclotomic", "--p", "3"],
@@ -142,3 +146,43 @@ def test_reemitted_config_reproduces_the_golden_report(capsys, tmp_path):
     assert run(["intertwine", "--config", str(job)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_example_composition_keeps_horners_length_and_cap(monkeypatch, capsys):
+    # s_compose by giant steps takes its cap from its own first visible
+    # term; on every composition these examples make it must be Horner's,
+    # with no label lower and every value congruent (tests/test_series_kernel.py)
+    calls = []
+
+    def checked(h, g):
+        new, old, fell = compare_with_horner(h, g)
+        calls.append(_block_size(len(h)))
+        assert (len(new), new.cap) == (len(old), old.cap)
+        assert not fell
+        return new
+
+    for module in (series, kisin, intertwine):
+        monkeypatch.setattr(module, "s_compose", checked)
+    for argv, _ in GOLDEN + KISIN_GOLDEN + EXACT_GOLDEN:
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert any(k > 1 for k in calls)
+
+
+def test_every_golden_envelope_renders_as_json_dumps(monkeypatch, capsys):
+    # the CLI's renderer against the json.dumps call it replaces
+    seen = []
+    render = cli._render
+
+    def checked(envelope):
+        text = render(envelope)
+        assert text == json.dumps(envelope, sort_keys=True, indent=2)
+        seen.append(envelope["command"])
+        return text
+
+    monkeypatch.setattr(cli, "_render", checked)
+    examples = GOLDEN + KISIN_GOLDEN + EXACT_GOLDEN + TRUNCATION_GOLDEN
+    for argv, _ in examples:
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == len(examples)

@@ -567,8 +567,10 @@ def old_canon(spec, s, vec, m):
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3, (-3, 0, 1)), FieldSpec(2, (2, 2, 1)),
-                                  FieldSpec(3, (3, 3, 0, 1))],
-                         ids=["Z3pi", "Z2-x2+2x+2", "Z3-x3+3x+3"])
+                                  FieldSpec(3, (3, 3, 0, 1)), FieldSpec(3, (-6, 3, 1)),
+                                  FieldSpec(5, (10, 5, 0, 1))],
+                         ids=["Z3pi", "Z2-x2+2x+2", "Z3-x3+3x+3", "Z3-x2+3x-6",
+                              "Z5-x3+5x+10"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_int_canon_matches_the_ofelement_route(spec, data):

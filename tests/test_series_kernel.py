@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobkit.scalars import FElement, FieldSpec, OFElement, qp_spec
-from frobkit.series import USeries, s_dot
+from frobkit.scalars import FElement, FieldSpec, OFElement, _add1, qp_spec
+from frobkit import series
+from frobkit.series import USeries, _block_size, _compose_powers, s_compose, s_dot
 
 SPECS = {
     "Z3": qp_spec(3),
@@ -282,3 +283,195 @@ def test_an_felement_factor_is_scalar_mul(name, seed):
     x = dot_series(rng, spec)
     for c in (dot_coeff(rng, spec), FElement.zero(spec), FElement.zero_at(spec, -2)):
         assert fields_of(s_dot([(x, c)])) == fields_of(x.scalar_mul(c))
+
+
+# --- composition by baby steps and giant steps against Horner ---------------
+#
+# horner_compose is s_compose as it was before the giant steps: one product
+# acc * g per coefficient of h, top down, each at its own length and cap,
+# with h_n added exactly at u^0.  It stays here as the reference.  Block
+# size 1 must give its fields exactly.  At the block size s_compose picks,
+# every value must be congruent to Horner's at the lower label, and on
+# integral inputs no label may be lower.  Horner cuts each running sum
+# h_n + h_(n+1) g + ... at its cap and reads the cut-off tail as integral,
+# which it is not when h has negative shifts; there a label of Horner's can
+# overclaim, and one below it is checked against exact compositions of
+# refined inputs instead.  Horner's cap follows the visible orders of its
+# running sums, which the giant steps never form, so the (length, cap) may
+# differ on these inputs; the CLI examples pin it to Horner's
+# (tests/test_golden_reports.py).
+
+
+def horner_compose(h: USeries, g: USeries) -> USeries:
+    if g.order() == 0:
+        raise ValueError("composition needs g(0) = 0")
+    spec = h.spec
+    top = len(h) - 1
+    acc = USeries(spec, h.shifts[top:], h.units[top:], h.labels[top:], None)
+    for n in range(top - 1, -1, -1):
+        prod = acc * g
+        c0 = _add1(spec, prod.shifts[0], prod.units[0], prod.labels[0],
+                   h.shifts[n], h.units[n], h.labels[n])
+        acc = USeries(spec, (c0[0],) + prod.shifts[1:], (c0[1],) + prod.units[1:],
+                      (c0[2],) + prod.labels[1:], prod.cap)
+    if h.cap is not None:
+        acc = acc.truncate(h.cap * max(g._order_for_cap(), 1))
+    return acc
+
+
+def compose_coeff(rng, spec, integral: bool) -> FElement:
+    return random_coeff(rng, spec, 0) if integral else dot_coeff(rng, spec)
+
+
+def compose_inner(rng, spec, integral: bool) -> USeries:
+    """A polynomial or capped g with constant term zero at precision: its
+    leading coefficients are exact or placeholder zeros."""
+    lead = [rng.choice((FElement.zero(spec), FElement.zero_at(spec, rng.randint(0, 9))))
+            for _ in range(rng.choice((1, 1, 2)))]
+    cs = lead + [compose_coeff(rng, spec, integral) for _ in range(rng.randint(1, 14))]
+    poly = USeries.make(spec, cs)
+    if rng.random() < 0.4:
+        return poly
+    return with_cap(poly, len(cs) + rng.choice((0, 0, 1, 4)))
+
+
+def compose_outer(rng, spec, integral: bool) -> USeries:
+    """A polynomial or capped h, long enough for giant steps at times."""
+    cs = [compose_coeff(rng, spec, integral)
+          for _ in range(rng.choice((1, 4, 6, 9, 12, 17, 26)))]
+    poly = USeries.make(spec, cs)
+    if rng.random() < 0.4:
+        return poly
+    return with_cap(poly, len(cs) + rng.choice((0, 0, 1, 3)))
+
+
+def label_not_lower(old, new) -> bool:
+    """new >= old for labels, an exact None above every number."""
+    return new is None or (old is not None and new >= old)
+
+
+def compare_with_horner(h: USeries, g: USeries) -> tuple[USeries, USeries, list]:
+    """(s_compose, horner_compose, the indices where s_compose's label is
+    lower), after checking that the values are congruent at the lower label
+    on their common length."""
+    new, old = s_compose(h, g), horner_compose(h, g)
+    fell = []
+    for n, (a, b) in enumerate(zip(old.coeffs, new.coeffs)):
+        labels = [m for m in (a.label, b.label) if m is not None]
+        if labels:
+            assert b.congruent(a, min(labels))
+        if not label_not_lower(a.label, b.label):
+            fell.append(n)
+    return new, old, fell
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9),
+       integral=st.booleans())
+def test_block_size_one_is_horner(name, seed, integral):
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    h, g = compose_outer(rng, spec, integral), compose_inner(rng, spec, integral)
+    want = fields_of(horner_compose(h, g))
+    assert fields_of(_compose_powers(h, [g], 1)) == want
+    if _block_size(len(h)) == 1:
+        assert fields_of(s_compose(h, g)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9),
+       integral=st.booleans())
+def test_giant_steps_refine_horner(name, seed, integral):
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    h, g = compose_outer(rng, spec, integral), compose_inner(rng, spec, integral)
+    _, _, fell = compare_with_horner(h, g)
+    assert not (integral and fell)
+
+
+def refine(rng, x: USeries, length: int, inner: bool) -> USeries:
+    """A polynomial of length coefficients that x stands for: each value
+    plus a random multiple of pi^label, exact zeros kept, and integral
+    values for the unknown tail of a capped x (0 at u^0 for an inner g)."""
+    spec, prec = x.spec, 60
+    out = []
+    for n in range(length):
+        c = x.coeff(n) if n < len(x) or x.cap is not None else FElement.zero(spec)
+        if c.label is None or (inner and n == 0):
+            out.append(FElement.zero(spec))
+            continue
+        noise = OFElement.from_coords(
+            spec, [rng.randrange(spec.p ** 8) for _ in range(spec.e_F)], prec)
+        value = FElement.make(noise, c.label)
+        if c.coords[0]:
+            value = value + FElement.make(
+                OFElement.from_coords(spec, list(c.coords), prec), c.low)
+        out.append(value)
+    return USeries.make(spec, out)
+
+
+def refuted(rng, h: USeries, g: USeries, result: USeries, n: int) -> bool:
+    """Whether one of 24 refinements of h and g composes to a value that
+    coefficient n of result, at its label, does not allow."""
+    length = len(result) + 2
+    for _ in range(24):
+        exact = horner_compose(refine(rng, h, length, False),
+                               refine(rng, g, length, True)).coeff(n)
+        c = result.coeff(n)
+        if not c.congruent(exact, min(c.label, exact.absprec)):
+            return True
+    return False
+
+
+def test_a_label_below_horners_is_one_horner_overclaims():
+    # negative shifts: wherever a label falls below Horner's, some exact
+    # composition of refined inputs contradicts Horner's value at its own
+    # label, and none of the same draws contradicts the giant steps' value
+    rng = random.Random("horner-overclaims")
+    falls = 0
+    for _ in range(120):
+        for name in sorted(DOT_SPECS):
+            spec = DOT_SPECS[name]
+            h, g = compose_outer(rng, spec, False), compose_inner(rng, spec, False)
+            if _block_size(len(h)) == 1:
+                continue
+            new, old, fell = compare_with_horner(h, g)
+            for n in fell:
+                falls += 1
+                assert refuted(random.Random(n), h, g, old, n)
+                assert not refuted(random.Random(n), h, g, new, n)
+    assert falls > 0
+
+
+def test_giant_steps_raise_labels_on_random_capped_inputs():
+    # the scheme is not Horner's: over many integral cases labels rise,
+    # none falls, and the values stay congruent
+    rng = random.Random("giant-steps")
+    rose = 0
+    for name in sorted(DOT_SPECS):
+        for _ in range(40):
+            spec = DOT_SPECS[name]
+            h, g = compose_outer(rng, spec, True), compose_inner(rng, spec, True)
+            if _block_size(len(h)) > 1:
+                new, old, fell = compare_with_horner(h, g)
+                assert not fell
+                rose += sum(a.label != b.label for a, b in zip(old.coeffs, new.coeffs))
+    assert rose > 0
+
+
+@pytest.mark.parametrize("m", range(1, 40))
+def test_giant_steps_make_fewer_kernel_calls(monkeypatch, m):
+    # k = ceil(sqrt(m)) where that makes fewer kernel calls than Horner's
+    # m - 1 (every product and every sum of products is one call), else 1
+    calls = []
+    kernel = series._sum_products
+    monkeypatch.setattr(series, "_sum_products",
+                        lambda *args: calls.append(1) or kernel(*args))
+    spec = qp_spec(3)
+    h = USeries.make(spec, range(1, m + 1), absprec=8)
+    g = USeries.make(spec, [0, 3, 1], cap=12, absprec=8)
+    s_compose(h, g)
+    k = _block_size(m)
+    assert k in (1, next(j for j in range(1, m + 1) if j * j >= m))
+    assert len(calls) < m - 1 if k > 1 else len(calls) == max(m - 1, 0)
+    assert k > 1 or m <= 5
