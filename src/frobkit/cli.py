@@ -17,7 +17,6 @@ import os
 import random
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 from .errors import (
     BudgetError,
@@ -581,53 +580,6 @@ def _parser() -> _Parser:
     return top
 
 
-class _Unrenderable(Exception):
-    """A value _render_at leaves to json.dumps."""
-
-
-def _render(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, built with
-    str.join: the encoder json.dumps runs for an indent is pure Python.  A
-    value of any type but dict (with str keys), list, tuple, str, int,
-    bool and None sends the whole object to json.dumps."""
-    try:
-        return _render_at(obj, "\n")
-    except _Unrenderable:
-        return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _render_at(obj, nl: str) -> str:
-    """obj rendered with nl (a newline and the indent of obj) before each
-    closing bracket."""
-    t = type(obj)
-    if t is str:
-        return encode_basestring_ascii(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        if any(type(key) is not str for key in obj):
-            raise _Unrenderable
-        inner = nl + "  "
-        return ("{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _render_at(obj[key], inner)
-             for key in sorted(obj)]) + nl + "}")
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        return ("[" + inner + ("," + inner).join([_render_at(v, inner) for v in obj])
-                + nl + "]")
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    raise _Unrenderable
-
-
 def run(argv) -> int:
     top = _parser()
     try:
@@ -649,7 +601,7 @@ def run(argv) -> int:
         return 1
 
     envelope = {"command": args.label, "config": cfg, "report": report}
-    text = _render(envelope) + "\n"
+    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -168,8 +168,10 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
         raise ValueError("mu0 must be a unit")
 
     a = _triples(f.as_series(absprec=n_start))[2:]  # a_2..a_p
-    # by_n[n][k - 1] = [f2^k]_n
-    by_n = list(zip(*map(_triples, _powers(f2.as_series(absprec=n_start), M - 1, M + s))))
+    # by_n[n][k - 1] = [f2^k]_n, n < M + s: f2 is capped there, so that
+    # every power reaches u^(M+s) even when f2^(M-1) is a shorter polynomial
+    f2s = f2.as_series(absprec=n_start).truncate(M + s)
+    by_n = list(zip(*map(_triples, _powers(f2s, M - 1, M + s))))
 
     xi: list = [(n_start, (0,) * spec.e_F, n_start), _flat(spec, mu0, n_start)]
     pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros

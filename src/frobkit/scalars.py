@@ -132,15 +132,15 @@ def _reduce_poly(spec: FieldSpec, vec: list) -> list:
     """Reduce a coefficient list (any length) modulo g."""
     g, e = spec.eisenstein, spec.e_F
     vec = list(vec)
-    n = len(vec)
-    if n <= e:
-        return vec + [0] * (e - n)
-    for d in range(n - 1, e - 1, -1):
+    for d in range(len(vec) - 1, e - 1, -1):
         c = vec[d]
         if c:
+            vec[d] = 0
             for i in range(e):
                 vec[d - e + i] -= c * g[i]
-    del vec[e:]
+    vec = vec[:e]
+    while len(vec) < e:
+        vec.append(0)
     return vec
 
 
@@ -525,14 +525,14 @@ class OFElement:
         # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
         # once c_0 = p*w*t, as in div_pi
         vec = list(self.vec)
-        w_inv = pow(w, -1, _moduli(p, e, prec)[0])
+        w_inv = pow(w, -1, _pk(p, spec.coeff_modulus_exp(prec, 0)))
         for left in range(prec - 1, -1, -1):
-            c0 = vec[0]
-            d = c0 % p
+            d = vec[0] % p
             out.append(d)
-            t = (c0 - d) // p * w_inv
-            vec.append(0)
-            vec = [(c - t * gi) % q for c, gi, q in zip(vec[1:], g[1:], _moduli(p, e, left))]
+            t = (vec[0] - d) // p * w_inv
+            vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
+            vec = [c % _pk(p, spec.coeff_modulus_exp(left, i))
+                   for i, c in enumerate(vec)]
         return tuple(out)
 
     def to_json(self) -> dict:

@@ -11,10 +11,8 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from frobkit.cli import _render, run
+from frobkit.cli import run
 from frobkit.series import PRESET_NAMES, EisensteinE, FrobLift, eisenstein_preset, frob_preset
 from frobkit.scalars import qp_spec
 
@@ -364,33 +362,3 @@ def test_bench_tracer_counts_witt_polynomial_construction():
     assert rc == 0
     assert built >= 1
     assert secs > 0
-
-
-# JSON values as the CLI's envelopes hold them (dicts with str keys, lists,
-# tuples, str, int, bool, None), plus what the renderer hands to json.dumps:
-# floats and dicts with int keys
-_TEXT = st.text(alphabet=st.characters(codec=None), max_size=12) | st.sampled_from(
-    ["", "\"", "\\", "\n\t\x00\x1f", "\u00e9\u2603\U0001f600", "\ud800", "</script>"])
-_SCALARS = (st.none() | st.booleans() | _TEXT
-            | st.integers(-10 ** 60, 10 ** 60) | st.floats(allow_nan=False))
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(_TEXT, inner, max_size=4)
-                   | st.dictionaries(st.integers(-5, 5), inner, min_size=1, max_size=2)),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_VALUES)
-def test_renderer_is_json_dumps_byte_for_byte(value):
-    try:
-        want = json.dumps(value, sort_keys=True, indent=2)
-    except TypeError:
-        # keys json.dumps cannot sort against each other: the renderer
-        # leaves them to json.dumps, which raises the same way
-        with pytest.raises(TypeError):
-            _render(value)
-        return
-    assert _render(value) == want

@@ -8,12 +8,11 @@ to alter a report updates the hash here and says why in CHANGES.md.
 """
 
 import hashlib
-import json
 
 import pytest
 from test_series_kernel import compare_with_horner
 
-from frobkit import cli, intertwine, kisin, series
+from frobkit import intertwine, kisin, series
 from frobkit.cli import run
 from frobkit.series import _block_size
 
@@ -168,21 +167,3 @@ def test_every_example_composition_keeps_horners_length_and_cap(monkeypatch, cap
     capsys.readouterr()
     assert any(k > 1 for k in calls)
 
-
-def test_every_golden_envelope_renders_as_json_dumps(monkeypatch, capsys):
-    # the CLI's renderer against the json.dumps call it replaces
-    seen = []
-    render = cli._render
-
-    def checked(envelope):
-        text = render(envelope)
-        assert text == json.dumps(envelope, sort_keys=True, indent=2)
-        seen.append(envelope["command"])
-        return text
-
-    monkeypatch.setattr(cli, "_render", checked)
-    examples = GOLDEN + KISIN_GOLDEN + EXACT_GOLDEN + TRUNCATION_GOLDEN
-    for argv, _ in examples:
-        assert run(argv) == 0
-    capsys.readouterr()
-    assert len(seen) == len(examples)

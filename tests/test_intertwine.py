@@ -259,6 +259,20 @@ def test_scaling_conjugates_pure_frobenius_power():
     assert seen == {1, 3**6 - 1}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_pure_frobenius_power_at_small_order(p, M):
+    # s = p and f2 = u^p, so f2^(M-1) is a polynomial that stops short of
+    # u^(M+s); the solver still reads coefficient M+s-1 of every power
+    f = frob_preset(qp_spec(p), "classical")
+    results = solve_intertwiner_all(f, f, M, N=6)
+    assert results
+    for res in results:
+        assert verify_intertwine(f, f, res.xi, M, 6)
+        assert outcome(solve_intertwiner, f, f, res.mu0, M, 6) == \
+            outcome(reference_solve, f, f, res.mu0, M, 6)
+
+
 # ------------------------------------------------------------------ properties
 
 
