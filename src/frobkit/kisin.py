@@ -5,9 +5,13 @@ basis (row convention: phi(e) = e*A), together with the Eisenstein E,
 the lift f driving phi, and a declared height r.  The operations here
 check the height condition E^r*A^(-1) integral, compute the minimal
 height of a rank-one module, scan for the scalar obstruction
-phi^n(f/u) = E^k, build the witness module A*O_F[[u]] from a successful
-scan, run the Y_n matrix iteration with its gauge trace, and read off
-the rank of the first filtration step.
+phi^n(f/u) = E^k, build the witness module A*O_F[[u]] at a level the
+scan accepts, run the Y_n matrix iteration with its gauge trace, and
+read off the rank of the first filtration step.
+
+The witness A = f*phi(f/u)*...*phi^(n-1)(f/u) is the iterate f^(n)(u),
+so phi(A) = A*phi^n(f/u).  A is nonzero in the domain O_F[u], so
+cancelling it is exact: A*E^l = phi(A) is the scan's identity at n.
 
 Height checking leans on the factorial structure of O_F[[u]]: E is
 irreducible, so det(A) = gamma*E^s with gamma coprime to E, and
@@ -159,8 +163,7 @@ def mat_adj(A: Mat) -> Mat:
 
 def mat_const(spec: FieldSpec, rows, absprec: int = DEFAULT_PREC) -> Mat:
     """Lift a matrix of scalars to constant USeries."""
-    return mat_make(spec, [[entry for entry in row] for row in rows],
-                    absprec=absprec)
+    return mat_make(spec, rows, absprec=absprec)
 
 
 # --- the module type ---------------------------------------------------------
@@ -214,7 +217,12 @@ class KisinModule:
 
 
 def verify_height(m: KisinModule) -> bool:
-    """True iff E^r * A^(-1) has integral entries.
+    """True iff E^r * A^(-1) has integral entries."""
+    return _height(m)[0]
+
+
+def _height(m: KisinModule) -> tuple:
+    """(verify_height's verdict, the E-order s of det(A)).
 
     Routed through det(A) = gamma*E^s: the module has height r exactly
     when gamma is a unit and every adjugate entry is divisible by
@@ -230,14 +238,12 @@ def verify_height(m: KisinModule) -> bool:
         raise IndeterminateError("u-order cap too small to certify the height")
     s, gamma = e_order(det, m.E)
     g0 = gamma.constant()
-    if g0.is_zero_at_prec():
-        if g0.absprec < 1:
-            raise IndeterminateError("E-free cofactor undecidable mod pi")
-        return False
-    if g0.vlow() > 0:
-        return False
+    if g0.is_zero_at_prec() and g0.absprec < 1:
+        raise IndeterminateError("E-free cofactor undecidable mod pi")
+    if g0.is_zero_at_prec() or g0.vlow() > 0:
+        return False, s
     if s <= m.r:
-        return True
+        return True, s
     need = s - m.r
     for row in mat_adj(m.A):
         for b in row:
@@ -251,9 +257,9 @@ def verify_height(m: KisinModule) -> bool:
             if k >= need:
                 continue
             if not e_divides(cof, m.E):
-                return False
+                return False, s
             raise IndeterminateError("u-order cap too small to certify the height")
-    return True
+    return True, s
 
 
 @dataclass(frozen=True)
@@ -283,9 +289,9 @@ def fil1_rank(m: KisinModule) -> int:
     """dim of the first filtration step, read off as the E-order of det(A)."""
     if m.r != 1:
         raise ValueError("filtration rank is computed for declared height 1")
-    if not verify_height(m):
+    ok, s = _height(m)
+    if not ok:
         raise ValueError("module does not have verified height 1")
-    s, _ = e_order(mat_det(m.A), m.E)
     if not 0 <= s <= m.d:
         raise ArithmeticError("E-order of det escaped [0, d] on a height-1 module")
     return s
@@ -347,6 +353,12 @@ def hypothesis_check(f: FrobLift, E: EisensteinE, N: int) -> HypothesisResult | 
     (p-1)p^n = e0*k, which fixes n.  At that n both sides are monic of
     degree (p-1)p^n, so their coefficient lists compare directly.
     """
+    hit = _obstruction(f, E, N)
+    return None if hit is None else HypothesisResult(*hit[:2])
+
+
+def _obstruction(f: FrobLift, E: EisensteinE, N: int) -> tuple | None:
+    """(n, k, E^k) when phi^n(f/u) = E^k at the one candidate level n <= N."""
     if N < 0:
         raise ValueError("N must be >= 0")
     spec = f.spec
@@ -364,9 +376,8 @@ def hypothesis_check(f: FrobLift, E: EisensteinE, N: int) -> HypothesisResult | 
     g = list(f.coeffs)
     for _ in range(n):
         g = _xp_compose(g, fpoly, spec)
-    if g == _xp_pow(list(E.coeffs), k, spec):
-        return HypothesisResult(n, k)
-    return None
+    Ek = _xp_pow(list(E.coeffs), k, spec)
+    return (n, k, Ek) if g == Ek else None
 
 
 # --- witness construction ----------------------------------------------------
@@ -402,10 +413,12 @@ def check_counterexample(f: FrobLift, E: EisensteinE, A: USeries, l: int) -> boo
 
 def counterexample_module(f: FrobLift, E: EisensteinE, n: int,
                           absprec: int = DEFAULT_PREC) -> CounterexampleWitness:
-    """A = f * phi(f/u) ... phi^(n-1)(f/u)  (A = u when n = 0).
+    """A = f * phi(f/u) ... phi^(n-1)(f/u) = f^(n)(u), with its pair
+    O_F[[u]] >= A*O_F[[u]], both of height l.
 
-    Checks the defining identity A*E^l = phi(A) exactly in O_F[u] and
-    packages the pair O_F[[u]] >= A*O_F[[u]], both of height l.
+    phi(A) = A*phi^n(f/u) and A != 0 in the domain O_F[u], so
+    A*E^l = phi(A) exactly when phi^n(f/u) = E^l: the scan's identity,
+    decided at level n before A is built as n compositions A <- A(f).
     """
     spec = f.spec
     if n < 0:
@@ -413,26 +426,19 @@ def counterexample_module(f: FrobLift, E: EisensteinE, n: int,
     l, rem = divmod((spec.p - 1) * spec.p**n, E.e0)
     if rem:
         raise SpecMismatchError("degree of E does not divide the forced exponent")
-    fpoly = [OFExact.zero(spec), *f.coeffs]
-    if n == 0:
-        acc = [OFExact.zero(spec), OFExact.one(spec)]
-    else:
-        acc = fpoly
-        g = list(f.coeffs)
-        for _ in range(1, n):
-            g = _xp_compose(g, fpoly, spec)
-            acc = _xp_mul(acc, g, spec)
-    El = _xp_pow(list(E.coeffs), l, spec)
-    lhs = _xp_mul(acc, El, spec)
-    rhs = _xp_compose(acc, fpoly, spec)
-    if lhs != rhs:
+    hit = _obstruction(f, E, n)
+    if hit is None or hit[0] != n:
         raise SpecMismatchError(
             f"A*E^{l} = phi(A) fails: (n, l) = ({n}, {l}) is not a witness"
         )
-    A = USeries.make(spec, acc, absprec=absprec)
-    module = KisinModule.make(f, E, l, [[USeries.make(spec, El, absprec=absprec)]])
+    fpoly = [OFExact.zero(spec), *f.coeffs]
+    A = [OFExact.zero(spec), OFExact.one(spec)]
+    for _ in range(n):
+        A = _xp_compose(A, fpoly, spec)
+    module = KisinModule.make(f, E, l, [[USeries.make(spec, hit[2], absprec=absprec)]])
     ambient = KisinModule.make(f, E, l, [[1]], absprec=absprec)
-    return CounterexampleWitness(A, l, module, ambient)
+    return CounterexampleWitness(USeries.make(spec, A, absprec=absprec), l,
+                                 module, ambient)
 
 
 # --- the Y_n iteration -------------------------------------------------------
@@ -460,14 +466,9 @@ class XiReport:
     gauges: tuple
 
     def to_json(self) -> dict:
-        def render(g):
-            if g is None:
-                return None
-            if isinstance(g, AtLeast):
-                return {"at_least": g.bound}
-            return g
         return {
-            "gauges": [render(g) for g in self.gauges],
+            "gauges": [{"at_least": g.bound} if isinstance(g, AtLeast) else g
+                       for g in self.gauges],
             "den": self.den.to_json(),
             "Y": [[entry.to_json() for entry in row] for row in self.Y],
         }
@@ -522,9 +523,7 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     adj0_pow = adj0
     g_n = f_ser.truncate(u_order)
     P = None
-    N_penult = ident
-    N_prev = ident
-    N = ident
+    N_penult = N_prev = N = ident
     for n in range(1, max_n + 1):
         if n > 1:
             g_n = s_compose(f_ser, g_n).truncate(u_order)

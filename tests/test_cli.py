@@ -362,3 +362,28 @@ def test_bench_tracer_counts_witt_polynomial_construction():
     assert rc == 0
     assert built >= 1
     assert secs > 0
+
+
+def test_bench_tracer_keeps_the_witness_scan_out_of_hypothesis_check():
+    # counterexample_module decides its identity through kisin's private
+    # scan, not the traced public hypothesis_check, so a counterexample job
+    # charges its time to kisin.counterexample_s alone
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys, io, json, contextlib; sys.path[:0] = sys.argv[1:]; "
+            "import frobkit.cli; from tracing import Tracer; t = Tracer(); "
+            "t.install(); t.active = True\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    rc = frobkit.cli.run(['kisin', 'counterexample', '--preset', "
+            "'twisted', '--p', '3', '--n', '1'])\n"
+            "t.active = False; m = t.metrics()\n"
+            "print(json.dumps([rc, m['kisin.counterexample_s'][0], "
+            "m['kisin.hypothesis_check_s'][0]]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rc, counterexample_s, hypothesis_s = json.loads(proc.stdout)
+    assert rc == 0
+    assert counterexample_s > 0
+    assert hypothesis_s == 0

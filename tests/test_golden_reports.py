@@ -3,7 +3,10 @@
 Each example's stdout is pinned by its sha256 together with its exit
 status; so is the stdout of the kisin height, fil1 and minheight
 invocations of tests/test_cli.py, whose verdicts run through Weierstrass
-division by E, and of a kisin hypothesis scan that finds no witness.  A refactor must leave every hash as it is; a change that is meant
+division by E, and of a kisin hypothesis scan that finds no witness.
+Two kisin counterexample jobs, a refuted level and a level-2 witness,
+also pin their exit status and stderr.  A refactor must leave every hash
+as it is; a change that is meant
 to alter a report updates the hash here and says why in CHANGES.md.
 """
 
@@ -96,6 +99,19 @@ TRUNCATION_GOLDEN = [
 ]
 
 
+# a refuted level and a level-2 witness, with exit status and stderr:
+# recorded while counterexample_module still formed A*E^l and A(f) in full
+WITNESS_GOLDEN = [
+    (["kisin", "counterexample", "--preset", "cyclotomic", "--p", "3", "--n", "6"],
+     1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "frobkit: error: A*E^729 = phi(A) fails: (n, l) = (6, 729) is not a witness\n"),
+    (["kisin", "counterexample", "--p", "3", "--f", "[9,-6,1]",
+      "--E", "[-3,81,-540,1386,-1782,1287,-546,135,-18,1]", "--n", "2", "--N", "12"],
+     0, "102601be801a25a25a0e28a4887b705d56a0f7670294066339d626dd78d9e0cf",
+     "kisin counterexample: level n = 2, l = 2, heights ok = True\n"),
+]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("FROBKIT_PRECISION", raising=False)
@@ -135,6 +151,15 @@ def test_truncated_fixed_point_report_is_unchanged(capsys, argv, digest):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, status, digest, err", WITNESS_GOLDEN,
+                         ids=["cyclotomic n=6 refuted", "level 2 witness"])
+def test_counterexample_report_is_unchanged(capsys, argv, status, digest, err):
+    assert run(argv) == status
+    got = capsys.readouterr()
+    assert hashlib.sha256(got.out.encode()).hexdigest() == digest
+    assert got.err == err
 
 
 def test_reemitted_config_reproduces_the_golden_report(capsys, tmp_path):

@@ -619,6 +619,79 @@ def test_counterexample_rejects_non_witness_inputs():
                               eisenstein_preset(Q3, "cyclotomic"), 2)
 
 
+def reference_witness(f, E, n, absprec):
+    """(A, l, E^l) as counterexample_module built them before it shared
+    hypothesis_check's scan: A as the product f * g_1 * ... * g_(n-1) of
+    the chain g_i = phi^i(f/u), then A*E^l and A(f) formed in full and
+    compared.  Raises its SpecMismatchError with the same messages."""
+    spec = f.spec
+    l, rem = divmod((spec.p - 1) * spec.p**n, E.e0)
+    if rem:
+        raise SpecMismatchError("degree of E does not divide the forced exponent")
+    fpoly = [OFExact.zero(spec), *f.coeffs]
+    if n == 0:
+        acc = [OFExact.zero(spec), OFExact.one(spec)]
+    else:
+        acc = fpoly
+        g = list(f.coeffs)
+        for _ in range(1, n):
+            g = kisin._xp_compose(g, fpoly, spec)
+            acc = kisin._xp_mul(acc, g, spec)
+    El = kisin._xp_pow(list(E.coeffs), l, spec)
+    if kisin._xp_mul(acc, El, spec) != kisin._xp_compose(acc, fpoly, spec):
+        raise SpecMismatchError(
+            f"A*E^{l} = phi(A) fails: (n, l) = ({n}, {l}) is not a witness"
+        )
+    return (USeries.make(spec, acc, absprec=absprec), l,
+            USeries.make(spec, El, absprec=absprec))
+
+
+@pytest.mark.parametrize("name", SCAN_SPECS)
+def test_counterexample_matches_reference_witness(name):
+    # the scan inputs, with their built witnesses of level n <= 2 at p = 3
+    # and n <= 1 at p = 5, tried at every one of those levels
+    spec = SCAN_SPECS[name]
+    rng = random.Random(f"scan/{name}")
+    built = refuted = 0
+    for f, E, _ in scan_cases(rng, spec):
+        for n in range(3 if spec.p == 3 else 2):
+            try:
+                want = reference_witness(f, E, n, 16)
+            except SpecMismatchError as exc:
+                with pytest.raises(SpecMismatchError) as got:
+                    counterexample_module(f, E, n, absprec=16)
+                assert str(got.value) == str(exc)
+                refuted += "not a witness" in str(exc)
+                continue
+            w = counterexample_module(f, E, n, absprec=16)
+            assert (w.A, w.l, w.module.A[0][0]) == want, (f, E, n)
+            built += 1
+    assert built >= 4 and refuted >= 4
+
+
+def test_counterexample_refutes_by_the_scan_alone(monkeypatch):
+    # level 6 is not the cyclotomic pair's candidate level 0: the scan
+    # rejects it by valuations, with nothing composed
+    calls = []
+    compose = kisin._xp_compose
+
+    def counted(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(kisin, "_xp_compose", counted)
+    with pytest.raises(SpecMismatchError) as exc:
+        counterexample_module(frob_preset(Q3, "cyclotomic"),
+                              eisenstein_preset(Q3, "cyclotomic"), 6)
+    assert str(exc.value) == ("A*E^729 = phi(A) fails: (n, l) = (6, 729) "
+                              "is not a witness")
+    assert len(calls) == 0
+    # a witness composes once for the scan's level and once to build A
+    counterexample_module(frob_preset(Q3, "twisted"),
+                          eisenstein_preset(Q3, "twisted"), 1)
+    assert len(calls) == 2
+
+
 def test_check_counterexample_flags_wrong_series():
     f = frob_preset(Q3, "cyclotomic")
     E = eisenstein_preset(Q3, "cyclotomic")
