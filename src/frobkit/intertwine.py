@@ -8,25 +8,31 @@ coefficient by an explicit nonzero divisor, so the precision loss per
 degree is a known constant and the starting precision can be budgeted up
 front.
 
-The solver never composes series.  One table of the powers of f2 and the
-columns of the powers xi^2..xi^p, extended online as each coefficient of
-xi lands, give the residual coefficient of each degree d in O(p*s*d) scalar
-operations, so a whole solve is quadratic in M.  Those operations run on
-the (shift, unit, label) int triples of the coefficients, one _canon per
-dot product and one integer division per degree, never on FElement
-objects.  The verifier composes directly with s_compose (baby steps and
-giant steps on the series kernel), an independent oracle that never
-reads the solver's table or columns.
+The solver never composes series and forms no series product.  A table
+of the powers of f2, built by their recurrence [f2^k]_n = sum_j [f2]_j
+[f2^(k-1)]_(n-j), and the columns of the powers xi^2..xi^p, extended
+online as each coefficient of xi lands, give the residual coefficient of
+each degree d in O(p*s*d) scalar operations, so a whole solve is
+quadratic in M.  Each term of a column entry is formed once: it is
+folded into the entry's settled sum when both its factors are final, and
+each degree forms anew only the few terms that still read coefficients
+not yet known.  Those operations run on the (shift, unit, label) int
+triples of the coefficients, one _canon per dot product or partial sum
+and one integer division per degree, never on FElement objects.  The
+verifier composes directly with s_compose (baby steps and giant steps on
+the series kernel), an independent oracle that never reads the solver's
+table or columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import PrecisionError, SpecMismatchError
-from .scalars import (DEFAULT_PREC, FElement, OFExact, _add1, _div1, _dot1, _neg1,
-                      of_root)
-from .series import FrobLift, USeries, _as_felement, _flat, _powers, _series, s_compose
+from .scalars import (DEFAULT_PREC, FElement, OFExact, _add1, _div1, _dot1, _mul1,
+                      _neg1, of_root)
+from .series import FrobLift, USeries, _as_felement, _flat, _series, s_compose
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,102 @@ def _triples(x: USeries) -> list:
     return list(zip(x.shifts, x.units, x.labels))
 
 
+def _f2_powers(spec, f2: list, top: int) -> list:
+    """by_n[n][k - 1] = [f2^k]_n for n < len(f2), from the triples of f2,
+    whose order is s.  [f2^k]_n is an exact zero below k*s, so row n holds
+    k = 1 and each k = 2..top with k*s <= n.  Each entry past k = 1 is one
+    _dot1 over the support of f2, [f2^k]_n =
+    sum_j [f2]_j [f2^(k-1)]_(n-j): the terms, and so the fields, of
+    coefficient n of the series product f2^(k-1) * f2."""
+    js = [j for j, c in enumerate(f2) if c[2] is not None]
+    cs = [f2[j] for j in js]
+    s = js[0]
+    by_n = [[c] for c in f2]
+    for k in range(2, top + 1):
+        lo = (k - 1) * s
+        for n in range(k * s, len(f2)):
+            ys = [by_n[n - j][k - 2] for j in js if n - j >= lo]
+            by_n[n].append(_dot1(spec, cs, ys))
+    return by_n
+
+
+def _settle(spec, xi: list, prev: list, col: list, sett: list, n: int) -> None:
+    """Bring a column [xi^i] to degree d, when xi = xi_0..xi_(d-1) and the
+    entries prev[m] = [xi^(i-1)]_m, m < d, are final: col, its final
+    entries, grows to m < d, and sett to the settled sums of the entries
+    m = d..n.  A term xi_j [xi^(i-1)]_(m-j) is settled once both its
+    factors are final.  A sum from an earlier degree gains the at most two
+    terms that degree d settles, xi_(d-1) [xi^(i-1)]_(m-d+1) and
+    xi_(m-d+1) [xi^(i-1)]_(d-1); a new entry is one _dot1 over the terms
+    settled so far.  Called for d = 2, 3, ... in turn, so that from d = 3
+    on, sett[j] comes from degree d-1 and is the entry m = d-1+j."""
+    d = len(xi)
+    x, y = xi[d - 1], prev[d - 1]
+    for j in range(len(sett)):
+        if j < d - 1:
+            sett[j] = _add1(spec, *sett[j], *_dot1(spec, (x, xi[j]), (prev[j], y)))
+        elif j == d - 1:
+            sett[j] = _add1(spec, *sett[j], *_mul1(spec, *x, *y))
+    for m in range(len(col) + len(sett), n + 1):
+        lo, hi = max(m - d + 1, 0), min(d - 1, m)
+        sett.append(_dot1(spec, xi[lo:hi + 1], prev[m - hi:m - lo + 1][::-1]))
+    while len(col) < d:
+        col.append(sett.pop(0))
+
+
+class _XiPowers:
+    """The columns [xi^i]_m, i = 2..p, of a series xi that lands one
+    coefficient per degree, read at m = n = d+s-1 with xi_m taken as zero
+    for m >= d (online multiplication, van der Hoeven 2002).
+
+    For i < p a column keeps its final entries, m < d, and the settled
+    sums of the entries m = d..n (see _settle); its provisional entries
+    add to those the terms j <= m-d, which read the previous column's
+    provisional entries: at most s terms each, none for [xi^2], whose
+    previous column is xi itself.  [xi^p] is read only at n, so it is one
+    _dot1 per degree and keeps nothing.
+    """
+
+    def __init__(self, spec, s: int):
+        self.spec, self.s = spec, s
+        self.cols: list[list] = [[] for _ in range(2, spec.p)]
+        self.setts: list[list] = [[] for _ in range(2, spec.p)]
+        self.pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros
+
+    def at(self, xi: list) -> list:
+        """[xi^i]_(d+s-1), i = 2..p, from xi = xi_0..xi_(d-1); called for
+        d = 2, 3, ... in turn, with xi extended by one coefficient each."""
+        spec = self.spec
+        d = len(xi)
+        n = d + self.s - 1
+        out = []
+        # [xi^(i-1)]_m: final for m < d, provisional for m = d..n
+        prev, tail = xi, self.pad
+        for col, sett in zip(self.cols, self.setts):
+            _settle(spec, xi, prev, col, sett, n)
+            # [xi^2] reads the exact zeros past xi_(d-1): nothing to add
+            prov = sett if tail is self.pad else [
+                _add1(spec, *c, *_dot1(spec, xi[:t + 1], tail[t::-1]))
+                for t, c in enumerate(sett)]
+            prev, tail = col, prov
+            out.append(tail[-1])
+        out.append(_dot1(spec, xi, (prev + tail)[::-1]))
+        return out
+
+
+def _running_divisors(spec, a_1: OFExact, b_1: OFExact, n_start: int):
+    """a_1 - b_1^d for d = 2, 3, ..., known modulo pi^n_start: the s = 1
+    divisors, with b_1 = a_1'.  -b_1^d is a running _mul1 product, whose
+    label n_start + (d-1)v(b_1) never falls below n_start, so each _add1
+    gives the fields of the exact difference at n_start."""
+    a_1 = _flat(spec, a_1, n_start)
+    b_1 = _flat(spec, b_1, n_start)
+    neg_pow = _neg1(spec, *b_1)
+    while True:
+        neg_pow = _mul1(spec, *neg_pow, *b_1)
+        yield _add1(spec, *a_1, *neg_pow)
+
+
 def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
                       N: int = DEFAULT_PREC) -> IntertwineResult:
     """Build xi through x^M with coefficients good modulo pi^N.
@@ -141,20 +243,21 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
     non-vanishing one means the inputs violate the compatibility theorem.
 
     The residual coefficient n = d+s-1 of f(xi) - xi(f2) is read off two
-    tables instead of two compositions.  xi(f2) gives the dot product of
-    xi_1..xi_{d-1} with coefficient n of f2^1..f2^(d-1), from one table of
-    powers of f2 cut at u^(M+s), built with M-2 series products.  f(xi)
-    gives sum_i a_i [xi^i]_n; the columns [xi^i]_m, i = 2..p, grow by one
-    entry per degree, [xi^i]_m = sum_j xi_j [xi^(i-1)]_(m-j), and the s
-    entries m = d..n that still depend on xi_d or later are formed with
-    those coefficients zero and dropped again.  Each degree therefore
-    costs O(p*s*d) scalar operations (online multiplication, van der
-    Hoeven 2002).  Every term the compositions would sum, the zero-at-
-    precision constant term of xi included, enters the same sums, so the
-    labels and digits are those of the compositions.  The coefficients
-    are held as (shift, unit, label) int triples throughout: each sum is
-    one _dot1, an int sum of the aligned unit products with one _canon at
-    its label, and each division one _div1.
+    tables instead of two compositions, and no series product is formed.
+    xi(f2) gives the dot product of xi_1..xi_{d-1} with coefficient n of
+    f2^1..f2^(d-1), from the table of _f2_powers below u^(M+s).  f(xi)
+    gives sum_i a_i [xi^i]_n, from the columns of _XiPowers, which form
+    each term once.  Each degree therefore costs O(p*s*d) scalar
+    operations, so a whole solve is quadratic in M.  When s = 1 the
+    divisor a_1 - a_1'^d comes from a running power of a_1'.  Every term
+    the compositions would sum, the zero-at-precision constant term of xi
+    included, enters the same sums, so the labels and digits are those of
+    the compositions.  The coefficients are held as (shift, unit, label)
+    int triples throughout.  Each sum is one _dot1, an int sum of the
+    aligned unit products with one _canon at its label, or a fold of such
+    partial sums by _add1: each partial sum is in normal form at its own
+    label, never below the whole sum's, so the fold gives the fields of
+    one _dot1 over all the terms.  Each division is one _div1.
     """
     spec = f.spec
     s = _common_degree(f, f2)
@@ -168,33 +271,22 @@ def solve_intertwiner(f: FrobLift, f2: FrobLift, mu0, M: int,
         raise ValueError("mu0 must be a unit")
 
     a = _triples(f.as_series(absprec=n_start))[2:]  # a_2..a_p
-    # by_n[n][k - 1] = [f2^k]_n, n < M + s: f2 is capped there, so that
-    # every power reaches u^(M+s) even when f2^(M-1) is a shorter polynomial
-    f2s = f2.as_series(absprec=n_start).truncate(M + s)
-    by_n = list(zip(*map(_triples, _powers(f2s, M - 1, M + s))))
+    by_n = _f2_powers(spec, _triples(f2.as_series(absprec=n_start).truncate(M + s)),
+                      M - 1)
 
     xi: list = [(n_start, (0,) * spec.e_F, n_start), _flat(spec, mu0, n_start)]
-    pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros
-    cols: list[list] = [[] for _ in range(2, spec.p + 1)]  # [xi^i]_m, m < d
+    powers = _XiPowers(spec, s)
     losses: list[int] = []
     if s > 1:
         s_el = OFExact.make(spec, s)
         base = FElement.from_exact(s_el * a_s, n_start)
-        div = _flat(spec, base * mu0 ** (s - 1), n_start)
+        divs = repeat(_flat(spec, base * mu0 ** (s - 1), n_start))
+    else:
+        divs = _running_divisors(spec, a_s, f2.coeffs[0], n_start)
     for d in range(2, M + 1):
-        n = d + s - 1
-        # [xi^(i-1)]_m for m <= n with xi_m = 0 for m >= d, from i = 2 on
-        prev = xi + pad
-        at_n = []  # [xi^i]_n, i = 2..p
-        for col in cols:
-            # entries below d are final; those from d to n are formed anew
-            col.extend(_dot1(spec, xi, prev[m::-1]) for m in range(len(col), d))
-            prev = col + [_dot1(spec, xi, prev[m:m - d:-1]) for m in range(d, n + 1)]
-            at_n.append(prev[n])
-        lam = _add1(spec, *_dot1(spec, a, at_n),
-                    *_neg1(spec, *_dot1(spec, xi[1:], by_n[n])))
-        if s == 1:
-            div = _flat(spec, f.coeffs[0] - f2.coeffs[0] ** d, n_start)
+        lam = _add1(spec, *_dot1(spec, a, powers.at(xi)),
+                    *_neg1(spec, *_dot1(spec, xi[1:], by_n[d + s - 1])))
+        div = next(divs)
         if lam[1][0] and lam[0] < 1:
             raise SpecMismatchError(
                 f"internal inconsistency: residual at degree {d} is a unit"

@@ -32,14 +32,18 @@ be integral.
 from dataclasses import dataclass
 
 from .errors import IndeterminateError, SpecMismatchError
-from .scalars import DEFAULT_PREC, AtLeast, FElement, FieldSpec, OFExact, _dot1
+from .scalars import (DEFAULT_PREC, AtLeast, FElement, FieldSpec, OFExact, _add1,
+                      _dot1, _mul1, _neg1)
 from .series import (
     EisensteinE,
     FrobLift,
     USeries,
     _compose_powers,
+    _flat,
     _gauge_combine,
     _powers,
+    _series,
+    _window,
     e_divides,
     e_order,
     frobenius,
@@ -119,6 +123,28 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 def mat_scale(A: Mat, c) -> Mat:
     return tuple(tuple(x.scalar_mul(c) for x in row) for row in A)
+
+
+def _mat_sub_scaled(A: Mat, B: Mat, c) -> Mat:
+    """mat_sub(A, mat_scale(B, c)) for USeries entries, in one pass per
+    coefficient: each is _add1(a, _mul1(b, -c)), with -c formed once.
+    Negating c instead of each product keeps every field, since negation
+    changes neither a valuation nor a label.  Past the end of b, the entry
+    reads b's padding unscaled, as the sum would read the scaled series'."""
+    spec = A[0][0].spec
+    neg = _neg1(spec, *_flat(spec, c, DEFAULT_PREC))
+
+    def entry(x: USeries, y: USeries) -> USeries:
+        caps = [cap for cap in (x.cap, y.cap) if cap is not None]
+        cap = min(caps) if caps else None
+        length = max(len(x.labels), len(y.labels)) if cap is None else cap
+        ys = list(zip(*_window(y, length)))
+        k = min(len(y.labels), length)
+        ys[:k] = [_mul1(spec, *b, *neg) for b in ys[:k]]
+        return _series(spec, [_add1(spec, *a, *b)
+                              for a, b in zip(zip(*_window(x, length)), ys)], cap)
+
+    return tuple(tuple(entry(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_truncate(A: Mat, cap: int) -> Mat:
@@ -534,7 +560,7 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
                   for row in m.A)
         P = C if P is None else mat_mul(P, C)
         N = mat_mul(P, adj0_pow)
-        delta = mat_sub(N, mat_scale(N_prev, det0))
+        delta = _mat_sub_scaled(N, N_prev, det0)
         raw = _gauge_combine(
             gauge_alpha(entry, e0) for row in delta for entry in row
         )

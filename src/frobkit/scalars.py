@@ -525,14 +525,13 @@ class OFElement:
         # value/pi = sum_{i>=1} c_i pi^(i-1) - t*(g_1 + ... + g_e pi^(e-1))
         # once c_0 = p*w*t, as in div_pi
         vec = list(self.vec)
-        w_inv = pow(w, -1, _pk(p, spec.coeff_modulus_exp(prec, 0)))
+        w_inv = pow(w, -1, _moduli(p, e, prec)[0])
         for left in range(prec - 1, -1, -1):
             d = vec[0] % p
             out.append(d)
             t = (vec[0] - d) // p * w_inv
             vec = [vec[i + 1] - t * g[i + 1] for i in range(e - 1)] + [-t]
-            vec = [c % _pk(p, spec.coeff_modulus_exp(left, i))
-                   for i, c in enumerate(vec)]
+            vec = [c % q for c, q in zip(vec, _moduli(p, e, left))]
         return tuple(out)
 
     def to_json(self) -> dict:

@@ -15,15 +15,20 @@ from frobkit.errors import NoRootError, PrecisionError, SpecMismatchError
 from frobkit.intertwine import (
     IntertwineResult,
     _common_degree,
+    _f2_powers,
+    _running_divisors,
     _start_prec,
+    _triples,
+    _XiPowers,
     check_compatible,
     compute_mu0,
     solve_intertwiner,
     solve_intertwiner_all,
     verify_intertwine,
 )
-from frobkit.scalars import FElement, FieldSpec, OFExact, qp_spec
-from frobkit.series import FrobLift, USeries, _as_felement, frob_preset, s_compose
+from frobkit.scalars import FElement, FieldSpec, OFExact, _dot1, qp_spec
+from frobkit.series import (FrobLift, USeries, _as_felement, _flat, _powers, frob_preset,
+                            s_compose)
 
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
@@ -72,6 +77,31 @@ def reference_solve(f, f2, mu0, M, N):
     return IntertwineResult(USeries.make(spec, coeffs, absprec=n_start), mu0, s,
                             all(c.is_integral() for c in coeffs),
                             (M, min(N, achieved)), tuple(losses))
+
+
+def reference_f2_table(f2s: USeries, M: int) -> list:
+    """The solver's f2 table before the recurrence: by_n[n][k - 1] =
+    [f2^k]_n for k = 1..M-1 (k = 1 alone when M = 1), from M-2 series
+    products of the capped f2s."""
+    return list(zip(*map(_triples, _powers(f2s, M - 1, len(f2s)))))
+
+
+def reference_columns(spec, s: int, xis: list, M: int):
+    """The solver's xi-power columns before the settled sums: at each
+    degree d = 2..M, [xi^i]_(d+s-1), i = 2..p, with xi = xis[:d], every
+    entry m = d..d+s-1 rebuilt from all its terms."""
+    pad = [(0, (0,) * spec.e_F, None)] * s  # exact zeros
+    cols: list[list] = [[] for _ in range(2, spec.p + 1)]
+    for d in range(2, M + 1):
+        xi = xis[:d]
+        n = d + s - 1
+        prev = xi + pad
+        at_n = []
+        for col in cols:
+            col.extend(_dot1(spec, xi, prev[m::-1]) for m in range(len(col), d))
+            prev = col + [_dot1(spec, xi, prev[m:m - d:-1]) for m in range(d, n + 1)]
+            at_n.append(prev[n])
+        yield at_n
 
 
 def ints_of(xs: USeries, m: int, n_prec: int) -> list:
@@ -352,7 +382,7 @@ SPECS = {
     "Z2pi": FieldSpec(2, (2, 2, 1)),  # p = 2, e_F = 2
 }
 # the lowest degree s of a lift lies below p
-CASES = [(name, s) for name in sorted(SPECS) for s in (1, 2) if s < SPECS[name].p]
+CASES = [(name, s) for name in sorted(SPECS) for s in range(1, SPECS[name].p)]
 
 
 def unit_of(draw, spec):
@@ -366,7 +396,9 @@ def unit_of(draw, spec):
 def compatible_pairs(draw, spec, s):
     """Lifts f, f2 whose lowest terms sit in degree s with one valuation
     (1 mostly, 2 at times, where xi need not be integral); equal linear
-    terms when s = 1; the terms above degree s drawn independently."""
+    terms when s = 1, and a ratio of lowest terms that is an (s-1)-th
+    power of a unit when s > 1, so that mu0 exists; the terms above
+    degree s drawn independently."""
     pi = OFExact.pi(spec)
     v = draw(st.sampled_from((1, 1, 1, 2)))
 
@@ -377,7 +409,7 @@ def compatible_pairs(draw, spec, s):
         return FrobLift.make(spec, [0] * (s - 1) + [lead, *upper, 1])
 
     lead = unit_of(draw, spec) * pi ** v
-    return lift(lead), lift(lead if s == 1 else unit_of(draw, spec) * pi ** v)
+    return lift(lead), lift(lead if s == 1 else lead * unit_of(draw, spec) ** (s - 1))
 
 
 def mu0_candidates(draw, f, f2, s, M, N):
@@ -402,7 +434,7 @@ def outcome(solve, f, f2, mu0, M, N):
 def test_solver_matches_reference_loop(name, s, data):
     spec = SPECS[name]
     f, f2 = data.draw(compatible_pairs(spec, s))
-    M = data.draw(st.integers(2, 20))
+    M = data.draw(st.integers(1, 20))
     N = data.draw(st.integers(1, 20))
     for mu0 in mu0_candidates(data.draw, f, f2, s, M, N):
         assert outcome(solve_intertwiner, f, f2, mu0, M, N) == \
@@ -429,3 +461,69 @@ def test_raising_M_or_N_never_lowers_a_label(name, s, data):
     for a, b in zip(lo, hi, strict=True):
         for k in range(1, M + 1):
             assert b.xi.coeff(k).absprec >= a.xi.coeff(k).absprec
+
+
+# ------------------------------------------------ each solver stage, old loop
+
+@pytest.mark.parametrize("name,s", CASES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_f2_table_matches_series_powers(name, s, data):
+    # a row of the recurrence stops at k = n // s (or M - 1); the old
+    # row's entries past it are exact zeros
+    spec = SPECS[name]
+    f, f2 = data.draw(compatible_pairs(spec, s))
+    M = data.draw(st.integers(1, 24))
+    f2s = f2.as_series(absprec=_start_prec(f, M, data.draw(st.integers(1, 20))))
+    f2s = f2s.truncate(M + s)
+    new = _f2_powers(spec, _triples(f2s), M - 1)
+    old = reference_f2_table(f2s, M)
+    assert len(new) == len(old) == M + s
+    for row_new, row_old in zip(new, old):
+        assert row_new == list(row_old[:len(row_new)])
+        assert all(c[2] is None for c in row_old[len(row_new):])
+
+
+@st.composite
+def coefficient(draw, spec):
+    """A (shift, unit, label) coefficient: visible, at times of negative
+    valuation, or a zero at its label, or the exact zero."""
+    kind = draw(st.sampled_from(("unit", "unit", "unit", "zero", "exact")))
+    if kind == "exact":
+        return (0, (0,) * spec.e_F, None)
+    label = draw(st.integers(-2, 30))
+    if kind == "zero":
+        return (label, (0,) * spec.e_F, label)
+    c = unit_of(draw, spec).times_pi(draw(st.integers(-2, 6)))
+    return _flat(spec, c, label)
+
+
+@pytest.mark.parametrize("name,s", CASES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_columns_match_rebuild_every_degree(name, s, data):
+    spec = SPECS[name]
+    M = data.draw(st.integers(1, 16))
+    xis = data.draw(st.lists(coefficient(spec), min_size=M, max_size=M))
+    powers = _XiPowers(spec, s)
+    for d, at_n in zip(range(2, M + 1), reference_columns(spec, s, xis, M),
+                       strict=True):
+        assert powers.at(xis[:d]) == at_n
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_running_divisor_is_the_exact_difference(name, data):
+    # the solver's s = 1 pairs have a_1 = a_1'; an independent a_1' (zero
+    # at times) checks the running power on its own
+    spec = SPECS[name]
+    f, f2 = data.draw(compatible_pairs(spec, 1))
+    a_1 = f.coeffs[0]
+    b_1 = data.draw(st.sampled_from(
+        (a_1, OFExact.zero(spec), unit_of(data.draw, spec) * OFExact.pi(spec))))
+    M = data.draw(st.integers(1, 24))
+    n_start = _start_prec(f, M, data.draw(st.integers(1, 20)))
+    divs = _running_divisors(spec, a_1, b_1, n_start)
+    for d in range(2, M + 1):
+        assert next(divs) == _flat(spec, a_1 - b_1 ** d, n_start)

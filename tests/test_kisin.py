@@ -52,6 +52,8 @@ from frobkit import (
 )
 from frobkit.scalars import DEFAULT_PREC
 from frobkit.series import _compose_powers, _powers, s_compose
+from test_series_kernel import SPECS as KERNEL_SPECS
+from test_series_kernel import random_coeff, random_series
 
 Q3 = qp_spec(3)
 Q5 = qp_spec(5)
@@ -701,6 +703,22 @@ def test_check_counterexample_flags_wrong_series():
 
 
 # --- the Y_n iteration -------------------------------------------------------
+
+
+@pytest.mark.parametrize("min_shift", [0, -3], ids=["integral", "negative-shift"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_sub_scaled_matches_sub_of_scaled(name, min_shift):
+    # xi_iterate's delta N - det0*N_prev in one pass per coefficient, on
+    # entries of unequal lengths and caps, and scalars that are exact
+    # zeros, zeros at a label or visible
+    spec = KERNEL_SPECS[name]
+    rng = random.Random(f"sub-scaled/{name}/{min_shift}")
+    for _ in range(60):
+        A, B = ((tuple(random_series(rng, spec, min_shift) for _ in range(2)),)
+                for _ in range(2))
+        c = random_coeff(rng, spec, min_shift)
+        assert kisin._mat_sub_scaled(A, B, c) == mat_sub(A, mat_scale(B, c))
+
 
 
 def xi_test_module(rng, absprec=16):
