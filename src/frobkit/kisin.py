@@ -38,6 +38,7 @@ from .series import (
     EisensteinE,
     FrobLift,
     USeries,
+    _compose_all,
     _compose_powers,
     _flat,
     _gauge_combine,
@@ -517,8 +518,9 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     1978): the one-block case of s_compose's giant steps, sharing one
     table among all entries.  Its labels follow that scheme and are no
     lower than Horner's on the same inputs.  g_(n+1) = f(g_n) (block size
-    1, Horner's rule) and the check compositions go through s_compose,
-    which never reads this table.
+    1, Horner's rule) goes through s_compose, and the check compositions
+    through s_compose's list form _compose_all, which shares one table of
+    f among the entries of both matrices; neither reads the table of g_n.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -587,10 +589,12 @@ def xi_iterate(m: KisinModule, max_n: int, u_order: int | None = None) -> XiRepo
     check_cap = min(u_order, 6 * e0 * spec.p)
     f_short = f_ser.truncate(check_cap)
     lhs = mat_mul(mat_truncate(N, check_cap), A0)
-    C1 = tuple(tuple(s_compose(x, f_short) for x in row)
-               for row in mat_truncate(m.A, check_cap))
-    phiNp = tuple(tuple(s_compose(x, f_short) for x in row)
-                  for row in mat_truncate(N_penult, check_cap))
+    # every entry of both matrices composes with f_short, one power table
+    # per block size and length
+    flat = _compose_all([x for M in (m.A, N_penult)
+                         for row in mat_truncate(M, check_cap) for x in row], f_short)
+    rows = [tuple(flat[i:i + m.d]) for i in range(0, len(flat), m.d)]
+    C1, phiNp = tuple(rows[:m.d]), tuple(rows[m.d:])
     rhs = mat_scale(mat_mul(C1, phiNp), det0)
     for row in mat_sub(lhs, rhs):
         for entry in row:

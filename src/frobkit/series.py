@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .errors import IndeterminateError
 from .scalars import (
@@ -85,8 +85,13 @@ def _series(spec: FieldSpec, triples, cap: int | None) -> "USeries":
 # min(N_x_i + v(y_j), N_y_j + v(x_i)) (N the label, v the valuation, v = N
 # for a zero); the label of a sum is the least label of its terms.  So the
 # labels come from one min-plus pass per pair, merged by minimum, and the
-# values from one Kronecker product per pair, all aligned to one shift and
-# summed into one int, with one _canon per output coefficient.  Every
+# values from one Kronecker product per pair, all aligned to one shift s0
+# and summed into one int.  The values are read back in one pass over
+# that int's bytes, each coefficient brought to _canon's normal form at
+# its label m: at e_F = 1 it is reduced mod p^(m - s0), a zero or a
+# p-free value is done, and otherwise gcd(c, p^(m - s0)) = p^v gives the
+# valuation at once, the unit being c / p^v (divided by (-w)^v too when
+# pi = p*(-w) is not p); at e_F > 1 it goes through _canon.  Every
 # _canon of the fold of products and additions reduces modulo a label no
 # lower than the final one, so the kernel gives the fields of that fold.
 # An FElement factor y is the constant series y, except that x*y keeps
@@ -124,10 +129,11 @@ class _Live:
 
 
 class _Operand:
-    """What a product reads of a series, gathered once per series: its
-    length and cap; its live (index, label, valuation) triples, and their
-    _Live views below a length; (index, unit * pi^(shift - s0)) for its
-    nonzero coefficients, s0 being their least shift; their greatest shift
+    """What a product reads of a series, gathered once per series in one
+    pass: its length and cap; its live (index, label, valuation) triples,
+    and their _Live views below a length; (index, unit * pi^(shift - s0))
+    for its nonzero coefficients, s0 being their least shift, the unit as
+    an int at e_F = 1 and as coordinates otherwise; their greatest shift
     and label; and its last Kronecker images, by key."""
 
     __slots__ = ("size", "cap", "live", "views", "aligned", "s0", "top_shift",
@@ -135,14 +141,33 @@ class _Operand:
 
     def __init__(self, spec: FieldSpec, shifts, units, labels, cap: int | None):
         self.size, self.cap, self.views, self.images = len(labels), cap, {}, {}
-        self.live = [(i, m, s) for i, (s, m) in enumerate(zip(shifts, labels))
-                     if m is not None]
-        nz = [(i, s, u, m) for i, (s, u, m) in enumerate(zip(shifts, units, labels))
-              if u[0]]
-        self.s0 = min((s for _, s, _, _ in nz), default=0)
-        self.aligned = [(i, _times_pi(spec, u, s - self.s0)) for i, s, u, _ in nz]
-        self.top_shift = max((s for _, s, _, _ in nz), default=0)
-        self.top_label = max((m for _, _, _, m in nz), default=0)
+        self.live = live = []
+        nz = []
+        s0 = top_shift = top_label = 0
+        for i, m in enumerate(labels):
+            if m is None:
+                continue
+            s = shifts[i]
+            live.append((i, m, s))
+            u = units[i]
+            if u[0]:
+                if not nz:
+                    s0 = top_shift = s
+                    top_label = m
+                elif s < s0:
+                    s0 = s
+                elif s > top_shift:
+                    top_shift = s
+                if m > top_label:
+                    top_label = m
+                nz.append((i, s, u))
+        self.s0, self.top_shift, self.top_label = s0, top_shift, top_label
+        if spec.e_F == 1:
+            pi = -spec.eisenstein[0]
+            self.aligned = [(i, u[0] * _pk(pi, s - s0) if s > s0 else u[0])
+                            for i, s, u in nz]
+        else:
+            self.aligned = [(i, _times_pi(spec, u, s - s0)) for i, s, u in nz]
 
     def view(self, length: int, pad: bool = True) -> _Live:
         """The live triples below length, with label-0 zeros past the end
@@ -194,43 +219,57 @@ def _product_labels(pairs: list, length: int) -> list:
     _Live views (a, b) per product: the least min(N_i + v_j, v_i + N_j)
     over live i + j = k of any pair, None for none.  Each term t is stored
     as K - t >= 1 in a w-bit field of a big int (0: no term), with one K
-    for all pairs, so the fields of b for the i-th triple of a are
-    (K - n_i - v_j) and (K - v_i - n_j), each a multiple of b's ones less
-    its packed valuations or labels; fields merge by a maximum taken on all
-    fields at once (SIMD within a register, the top bit of a field a guard
-    bit)."""
+    for all pairs.  With r_i = N_i - v_i, K - t = B(r_i)_j - (v_i - v_a)
+    for v_a the least v_i of a, where B(r) is the fieldwise maximum of
+    (K - v_a - r - v_j) and (K - v_a - N_j): multiples of b's ones less its
+    packed valuations or labels.  B is formed once per r among a's triples,
+    and fields merge by a maximum taken on all fields at once (SIMD within
+    a register, the top bit of a field a guard bit)."""
     pairs = [(a, b) if len(a.entries) <= len(b.entries) else (b, a)
              for a, b in pairs if a.entries and b.entries]
     if not pairs:
         return [None] * length
     K = max(max(a.nmax + b.vmax, a.vmax + b.nmax) for a, b in pairs) + 1
-    top = max(K - min(a.nmin + b.vmin, a.vmin + b.nmin) for a, b in pairs)
+    # every field lies in 1..K - v_a - v_b (r >= 0 and v_j <= N_j)
+    top = max(K - a.vmin - b.vmin for a, b in pairs)
     nbytes = (top.bit_length() + 8) // 8
     w = 8 * nbytes
     guard, low = _swar_masks(length, nbytes)
-
-    def vmax(x, y):
-        g = ((x | guard) - y) & guard
-        m = g - (g >> (w - 1))
-        return (x & m) | (y & (m ^ low))
-
+    top_bit = w - 1
+    # max(x, y) fieldwise: d = (x | guard) - y holds x - y in the fields
+    # where its guard bit survives, that is where x >= y, and the maximum
+    # is y plus d masked to those fields.  Fields past length may collect
+    # garbage, since a carry only moves up; out is masked at the end.
     out = 0
     for a, b in pairs:
         pn, pv, lb = b.fields(nbytes)
-        q1 = (K - a.nmin - b.vmin) * lb - pv
-        q2 = (K - a.vmin - b.nmin) * lb - pn
+        va = a.vmin
+        x0 = (K - va - b.vmin) * lb - pv
+        y0 = (K - va - b.nmin) * lb - pn
+        by_r = {}
         for i, n, v in a.entries:
-            out = vmax(out, vmax(q1 - (n - a.nmin) * lb, q2 - (v - a.vmin) * lb)
-                       << (w * i))
-    return [K - f if f else None for f in _from_int(out, length, nbytes)]
+            r = n - v
+            y = by_r.get(r)
+            if y is None:
+                d = ((x0 - r * lb) | guard) - y0
+                g = d & guard
+                y = by_r[r] = y0 + (d & (g - (g >> top_bit)))
+            if v != va:
+                y -= (v - va) * lb
+            y <<= w * i
+            d = (out | guard) - y
+            g = d & guard
+            out = y + (d & (g - (g >> top_bit)))
+    return [K - f if f else None for f in _from_int(out & low, length, nbytes)]
 
 
 def _image(spec: FieldSpec, op: _Operand, length: int, stride: int, pk: int,
            nbytes: int, t: int) -> int:
     """Kronecker image of the aligned units of an operand below length, each
     times pi^t: coordinate r of coefficient i, reduced mod pk, in slot
-    i*stride + r of nbytes.  The last few images are kept, since a Horner
-    step or a matrix row reuses them."""
+    i*stride + r of nbytes, the bytes of every slot joined from one list.
+    The last few images are kept, since a Horner step or a matrix row
+    reuses them."""
     key = (length, pk, nbytes, t)
     image = op.images.get(key)
     if image is not None:
@@ -238,21 +277,49 @@ def _image(spec: FieldSpec, op: _Operand, length: int, stride: int, pk: int,
     aligned = op.aligned
     if aligned[-1][0] >= length:
         aligned = [a for a in aligned if a[0] < length]
-    if t:
-        aligned = [(i, _times_pi(spec, vec, t)) for i, vec in aligned]
-    slots = [0] * ((aligned[-1][0] + 1) * stride)
+    slots = [bytes(nbytes)] * ((aligned[-1][0] + 1) * stride)
     if stride == 1:
-        for i, (c,) in aligned:
-            slots[i] = c % pk
+        if t:
+            q = _pk(-spec.eisenstein[0], t)  # pi^t
+            for i, c in aligned:
+                slots[i] = (c * q % pk).to_bytes(nbytes, "little")
+        else:
+            for i, c in aligned:
+                slots[i] = (c % pk).to_bytes(nbytes, "little")
     else:
         for i, vec in aligned:
+            if t:
+                vec = _times_pi(spec, vec, t)
+            i *= stride
             for r, c in enumerate(vec):
-                slots[i * stride + r] = c % pk
-    image = _to_int(slots, nbytes)
+                slots[i + r] = (c % pk).to_bytes(nbytes, "little")
+    image = int.from_bytes(b"".join(slots), "little")
     if len(op.images) >= 4:
         op.images.clear()
     op.images[key] = image
     return image
+
+
+# p^0, p^1, ... for each p in use, and the exponent of each such power,
+# filled as far as a product needs them: a gcd with p^k is p^v, and its
+# exponent v is one lookup
+_P_POWERS: dict[int, list[int]] = {}
+_P_EXPONENT: dict[int, int] = {}
+
+
+def _p_powers(p: int, k: int) -> list[int]:
+    """p^0, ..., p^k (and perhaps more)."""
+    pows = _P_POWERS.setdefault(p, [1])
+    while len(pows) <= k:
+        _P_EXPONENT[pows[-1] * p] = len(pows)
+        pows.append(pows[-1] * p)
+    return pows
+
+
+@lru_cache(maxsize=None)
+def _unit_divisor(p: int, w: int, v: int, k: int) -> int:
+    """(-w)^-v mod p^k: dividing by pi^v = p^v (-w)^v, at e_F = 1."""
+    return pow(-w, -v, _pk(p, k))
 
 
 def _sum_products(spec: FieldSpec, pairs, length: int,
@@ -280,40 +347,70 @@ def _sum_products(spec: FieldSpec, pairs, length: int,
                 and opa.aligned[0][0] + opb.aligned[0][0] < length):
             value_pairs.append((opa, opb))
     labels = _product_labels(label_pairs, length)
-    coords = None
-    if value_pairs:
-        s0 = min(a.s0 + b.s0 for a, b in value_pairs)
-        # a nonzero term of coefficient k bounds its label m_k, so working
-        # mod p^K with e*K >= m_k - s0 loses nothing wherever there is one;
-        # where there is none the sum is exactly 0
-        digits = max(min(a.top_label + b.top_shift, a.top_shift + b.top_label)
-                     for a, b in value_pairs) - s0
-        pk = _pk(spec.p, max(-(-digits // e), 1))  # p^K
-        stride = 2 * e - 1
-        terms = sum(min(len(a.aligned), len(b.aligned)) for a, b in value_pairs)
-        nbytes = (2 * (pk - 1).bit_length() + (terms * e).bit_length() + 7) // 8
-        count = length * stride
-        total = 0
-        for a, b in value_pairs:
-            # the factor with fewer nonzero coefficients takes the alignment
-            if len(a.aligned) > len(b.aligned):
-                a, b = b, a
-            total += (_image(spec, a, length, stride, pk, nbytes, a.s0 + b.s0 - s0)
-                      * _image(spec, b, length, stride, pk, nbytes, 0))
-        coords = _from_int(total & ((1 << (8 * nbytes * count)) - 1), count, nbytes)
     zero = (0,) * e
-    shifts, units = [], []
-    for k, m in enumerate(labels):
-        if m is None:
-            shifts.append(0)
-            units.append(zero)
-        elif coords is None or m <= s0:
-            shifts.append(m)
-            units.append(zero)
-        else:
-            s, u = _canon(spec, s0, coords[k * stride:(k + 1) * stride], m)
-            shifts.append(s)
-            units.append(u)
+    if not value_pairs:
+        return USeries(spec, tuple(0 if m is None else m for m in labels),
+                       (zero,) * length, tuple(labels), cap)
+    s0 = min(a.s0 + b.s0 for a, b in value_pairs)
+    # a nonzero term of coefficient k bounds its label m_k, so working mod
+    # p^K with e*K >= m_k - s0 loses nothing wherever there is one; where
+    # there is none the sum is exactly 0
+    digits = max(min(a.top_label + b.top_shift, a.top_shift + b.top_label)
+                 for a, b in value_pairs) - s0
+    p, K = spec.p, max(-(-digits // e), 1)
+    pows = _p_powers(p, K)
+    pk = pows[K]
+    stride = 2 * e - 1
+    terms = sum(min(len(a.aligned), len(b.aligned)) for a, b in value_pairs)
+    nbytes = (2 * (pk - 1).bit_length() + (terms * e).bit_length() + 7) // 8
+    total = 0
+    for a, b in value_pairs:
+        # the factor with fewer nonzero coefficients takes the alignment
+        if len(a.aligned) > len(b.aligned):
+            a, b = b, a
+        total += (_image(spec, a, length, stride, pk, nbytes, a.s0 + b.s0 - s0)
+                  * _image(spec, b, length, stride, pk, nbytes, 0))
+    width = nbytes * stride  # the bytes of one output coefficient
+    raw = (total & ((1 << (8 * width * length)) - 1)).to_bytes(width * length,
+                                                                "little")
+    # each coefficient read from its bytes and brought to _canon's normal
+    # form at its label m: a zero there, else pi^(s0 + v) times a unit
+    shifts, units = [0] * length, [zero] * length  # exact zeros where m is None
+    if e == 1:
+        w = spec.eisenstein[0] // p  # pi = p*(-w)
+        start = 0
+        for k, m in enumerate(labels):
+            end = start + nbytes
+            if m is not None:
+                prec = m - s0
+                # a nonzero slot has a term, so prec <= K
+                c = int.from_bytes(raw[start:end], "little") if prec > 0 else 0
+                if c:
+                    c %= pows[prec]
+                if not c:
+                    shifts[k] = m
+                elif c % p:
+                    shifts[k], units[k] = s0, (c,)
+                else:
+                    g = gcd(c, pows[prec])
+                    v = _P_EXPONENT[g]
+                    c //= g
+                    if w != -1:
+                        c = c * _unit_divisor(p, w, v, prec - v) % pows[prec - v]
+                    shifts[k], units[k] = s0 + v, (c,)
+            start = end
+    else:
+        blank = bytes(width)
+        for k, m in enumerate(labels):
+            if m is None:
+                continue
+            chunk = raw[k * width:(k + 1) * width]
+            if m <= s0 or chunk == blank:
+                shifts[k] = m
+            else:
+                shifts[k], units[k] = _canon(
+                    spec, s0, [int.from_bytes(chunk[j:j + nbytes], "little")
+                               for j in range(0, width, nbytes)], m)
     return USeries(spec, tuple(shifts), tuple(units), tuple(labels), cap)
 
 
@@ -546,19 +643,36 @@ def s_compose(h: USeries, g: USeries) -> USeries:
     giant step acc * g^k + sum_{0<j<k} h_{ik+j} g^j is one kernel call,
     about 2 sqrt(len(h)) calls in all instead of Horner's len(h) - 1.
 
-    k = 1 is Horner's rule, each step acc * g + h_n at the length and cap
-    of its product (_extent).  For k > 1 every power and every step is
-    formed at the length and cap of the result (_compose_extent), so that
-    nothing is cut short of it before the end.  The labels follow the
-    evaluation scheme: each is honest as any product's is, and a value is
-    congruent to Horner's at the lower of the two labels."""
+    k = 1 is Horner's rule for an integral h, each step acc * g + h_n at
+    the length and cap of its product (_extent).  Otherwise every power
+    and every step is formed at the length and cap of the result
+    (_compose_extent), so that nothing is cut short of it before the end.
+    An h with a negative shift takes that path at k = 1 too: Horner cuts
+    each running sum at its cap and reads the cut-off tail as integral,
+    which it then is not.  The labels follow the evaluation scheme: each
+    is honest as any product's is, and a value is congruent to Horner's
+    at the lower of the two labels."""
+    return _compose_all([h], g)[0]
+
+
+def _compose_all(hs, g: USeries) -> list[USeries]:
+    """[s_compose(h, g) for h in hs], with one power table g, ..., g^k
+    for all h of the same block size k and result length."""
     if g.order() == 0:
         raise ValueError("composition needs g(0) = 0")
-    k = _block_size(len(h))
-    if k == 1:
-        return _compose_powers(h, [g], 1)
-    extent = _compose_extent(h, g)
-    return _compose_powers(h, _powers(g, k, extent[0]), k, extent)
+    tables = {}
+    out = []
+    for h in hs:
+        k = _block_size(len(h))
+        if k == 1 and h.is_integral():
+            out.append(_compose_powers(h, [g], 1))
+            continue
+        extent = _compose_extent(h, g)
+        key = (k, extent[0])
+        if key not in tables:
+            tables[key] = _powers(g, k, extent[0])
+        out.append(_compose_powers(h, tables[key], k, extent))
+    return out
 
 
 def _powers(g: USeries, top: int, length: int) -> list[USeries]:

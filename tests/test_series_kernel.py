@@ -23,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobkit.scalars import FElement, FieldSpec, OFElement, _add1, qp_spec
+from frobkit.scalars import (FElement, FieldSpec, OFElement, _add1, _canon, _times_pi,
+                             qp_spec)
 from frobkit import series
-from frobkit.series import USeries, _block_size, _compose_powers, s_compose, s_dot
+from frobkit.series import (USeries, _Live, _block_size, _compose_all, _compose_powers,
+                            _from_int, _swar_masks, _to_int, s_compose, s_dot)
 
 SPECS = {
     "Z3": qp_spec(3),
@@ -285,6 +287,180 @@ def test_an_felement_factor_is_scalar_mul(name, seed):
         assert fields_of(s_dot([(x, c)])) == fields_of(x.scalar_mul(c))
 
 
+# --- the kernel against its first form ---------------------------------------
+#
+# reference_sum_products is _sum_products as it was before its read-back
+# went to one pass: operands gathered by three comprehensions, the label
+# merge through a vmax closure per live triple, every Kronecker image
+# from a list of slots, and one _canon per output coefficient on coords
+# read back as a list.  It shares with the kernel only _Live and the
+# byte packing of _to_int and _from_int.  The kernel must give its
+# fields exactly, with the cap passed through.
+
+
+class RefOperand:
+    def __init__(self, spec, shifts, units, labels, cap):
+        self.size, self.cap = len(labels), cap
+        self.live = [(i, m, s) for i, (s, m) in enumerate(zip(shifts, labels))
+                     if m is not None]
+        nz = [(i, s, u, m) for i, (s, u, m) in enumerate(zip(shifts, units, labels))
+              if u[0]]
+        self.s0 = min((s for _, s, _, _ in nz), default=0)
+        self.aligned = [(i, _times_pi(spec, u, s - self.s0)) for i, s, u, _ in nz]
+        self.top_shift = max((s for _, s, _, _ in nz), default=0)
+        self.top_label = max((m for _, _, _, m in nz), default=0)
+
+    def view(self, length, pad=True):
+        live = [t for t in self.live if t[0] < length]
+        if pad and self.cap is not None and self.size < length:
+            live = live + [(i, 0, 0) for i in range(self.size, length)]
+        return _Live(live)
+
+
+def ref_product_labels(pairs, length):
+    pairs = [(a, b) if len(a.entries) <= len(b.entries) else (b, a)
+             for a, b in pairs if a.entries and b.entries]
+    if not pairs:
+        return [None] * length
+    K = max(max(a.nmax + b.vmax, a.vmax + b.nmax) for a, b in pairs) + 1
+    top = max(K - min(a.nmin + b.vmin, a.vmin + b.nmin) for a, b in pairs)
+    nbytes = (top.bit_length() + 8) // 8
+    w = 8 * nbytes
+    guard, low = _swar_masks(length, nbytes)
+
+    def vmax(x, y):
+        g = ((x | guard) - y) & guard
+        m = g - (g >> (w - 1))
+        return (x & m) | (y & (m ^ low))
+
+    out = 0
+    for a, b in pairs:
+        pn, pv, lb = b.fields(nbytes)
+        q1 = (K - a.nmin - b.vmin) * lb - pv
+        q2 = (K - a.vmin - b.nmin) * lb - pn
+        for i, n, v in a.entries:
+            out = vmax(out, vmax(q1 - (n - a.nmin) * lb, q2 - (v - a.vmin) * lb)
+                       << (w * i))
+    return [K - f if f else None for f in _from_int(out, length, nbytes)]
+
+
+def ref_image(spec, op, length, stride, pk, nbytes, t):
+    aligned = [(i, _times_pi(spec, vec, t)) for i, vec in op.aligned if i < length]
+    slots = [0] * ((aligned[-1][0] + 1) * stride)
+    for i, vec in aligned:
+        for r, c in enumerate(vec):
+            slots[i * stride + r] = c % pk
+    return _to_int(slots, nbytes)
+
+
+def reference_sum_products(spec, pairs, length, cap):
+    e = spec.e_F
+    label_pairs, value_pairs = [], []
+    for x, y in pairs:
+        opa = RefOperand(spec, x.shifts, x.units, x.labels, x.cap)
+        if isinstance(y, FElement):
+            opb = RefOperand(spec, (y.low,), (y.coords,), (y.label,), None)
+            label_pairs.append((opa.view(length, pad=False), opb.view(length)))
+            if x.cap is not None and len(x.labels) < length:
+                tail = [(i, 0, 0) for i in range(len(x.labels), length)]
+                label_pairs.append((_Live(tail), _Live([(0, 0, 0)])))
+        else:
+            opb = RefOperand(spec, y.shifts, y.units, y.labels, y.cap)
+            label_pairs.append((opa.view(length), opb.view(length)))
+        if (opa.aligned and opb.aligned
+                and opa.aligned[0][0] + opb.aligned[0][0] < length):
+            value_pairs.append((opa, opb))
+    labels = ref_product_labels(label_pairs, length)
+    coords = None
+    if value_pairs:
+        s0 = min(a.s0 + b.s0 for a, b in value_pairs)
+        digits = max(min(a.top_label + b.top_shift, a.top_shift + b.top_label)
+                     for a, b in value_pairs) - s0
+        pk = spec.p ** max(-(-digits // e), 1)
+        stride = 2 * e - 1
+        terms = sum(min(len(a.aligned), len(b.aligned)) for a, b in value_pairs)
+        nbytes = (2 * (pk - 1).bit_length() + (terms * e).bit_length() + 7) // 8
+        count = length * stride
+        total = 0
+        for a, b in value_pairs:
+            if len(a.aligned) > len(b.aligned):
+                a, b = b, a
+            total += (ref_image(spec, a, length, stride, pk, nbytes, a.s0 + b.s0 - s0)
+                      * ref_image(spec, b, length, stride, pk, nbytes, 0))
+        coords = _from_int(total & ((1 << (8 * nbytes * count)) - 1), count, nbytes)
+    zero = (0,) * e
+    shifts, units = [], []
+    for k, m in enumerate(labels):
+        if m is None:
+            shifts.append(0)
+            units.append(zero)
+        elif coords is None or m <= s0:
+            shifts.append(m)
+            units.append(zero)
+        else:
+            s, u = _canon(spec, s0, coords[k * stride:(k + 1) * stride], m)
+            shifts.append(s)
+            units.append(u)
+    return USeries(spec, tuple(shifts), tuple(units), tuple(labels), cap)
+
+
+def kernel_series(rng, spec, n):
+    """n coefficients of dot_coeff's kinds, mostly visible, or labels high
+    enough for long Kronecker slots at times; a polynomial, or capped at
+    or past its end."""
+    cs = [dot_coeff(rng, spec) if rng.random() < 0.8
+          else random_coeff(rng, spec, rng.choice((0, -3))) for _ in range(n)]
+    poly = USeries.make(spec, cs)
+    if rng.random() < 0.4:
+        return poly
+    return with_cap(poly, n + rng.choice((0, 0, 1, 4, 9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 10 ** 9))
+def test_kernel_matches_its_first_form(name, seed):
+    # 1-6 pairs of series with negative shifts, zeros at labels (below 0
+    # at times) and capped tails, against series or FElements, one series
+    # at times in two pairs; each sum at two lengths up to 60, the second
+    # reading the operands the first one cached
+    spec = SPECS[name]
+    rng = random.Random(seed)
+    size = rng.choice((3, 12, 30, 60))
+    pool = [kernel_series(rng, spec, rng.randint(1, size)) for _ in range(4)]
+    pairs = []
+    for _ in range(rng.randint(1, 6)):
+        x = rng.choice(pool) if rng.random() < 0.3 else kernel_series(
+            rng, spec, rng.randint(1, size))
+        y = (dot_coeff(rng, spec) if rng.random() < 0.35
+             else kernel_series(rng, spec, rng.randint(1, size)))
+        pairs.append((x, y))
+    for length in (rng.randint(1, 60), rng.randint(1, 60)):
+        cap = rng.choice((None, length))
+        got = series._sum_products(spec, pairs, length, cap)
+        assert fields_of(got) == fields_of(
+            reference_sum_products(spec, pairs, length, cap))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_kernel_reads_back_every_valuation(name):
+    # a product whose coefficient k is 7 pi^k + pi^(k+20): every valuation
+    # 0..11 above the least shift, each well below its label, so the
+    # read-back divides out p^k (and over Z3-6, where pi = 3 * -2, the
+    # unit also by (-2)^k)
+    spec = SPECS[name]
+    pi = FElement.make(OFElement.from_coords(spec, [0, 1] if spec.e_F > 1 else [
+        -spec.eisenstein[0]], 60), 0)
+    seven = FElement.from_int(spec, 7, 60)
+    x = USeries.make(spec, [pi ** k * seven + pi ** (k + 20) for k in range(12)])
+    one = USeries.one(spec, absprec=60)
+    for y in (one, one.constant()):
+        got = series._sum_products(spec, [(x, y)], 12, None)
+        assert fields_of(got) == fields_of(
+            reference_sum_products(spec, [(x, y)], 12, None))
+        assert got.shifts == tuple(range(12))
+        assert got == x
+
+
 # --- composition by baby steps and giant steps against Horner ---------------
 #
 # horner_compose is s_compose as it was before the giant steps: one product
@@ -374,7 +550,7 @@ def test_block_size_one_is_horner(name, seed, integral):
     h, g = compose_outer(rng, spec, integral), compose_inner(rng, spec, integral)
     want = fields_of(horner_compose(h, g))
     assert fields_of(_compose_powers(h, [g], 1)) == want
-    if _block_size(len(h)) == 1:
+    if _block_size(len(h)) == 1 and h.is_integral():
         assert fields_of(s_compose(h, g)) == want
 
 
@@ -410,17 +586,24 @@ def refine(rng, x: USeries, length: int, inner: bool) -> USeries:
     return USeries.make(spec, out)
 
 
-def refuted(rng, h: USeries, g: USeries, result: USeries, n: int) -> bool:
-    """Whether one of 24 refinements of h and g composes to a value that
-    coefficient n of result, at its label, does not allow."""
+def refutations(rng, h: USeries, g: USeries, result: USeries) -> set:
+    """The n at which one of 24 refinements of h and g composes to a value
+    that coefficient n of result, at its label, does not allow."""
     length = len(result) + 2
+    out = set()
     for _ in range(24):
         exact = horner_compose(refine(rng, h, length, False),
-                               refine(rng, g, length, True)).coeff(n)
-        c = result.coeff(n)
-        if not c.congruent(exact, min(c.label, exact.absprec)):
-            return True
-    return False
+                               refine(rng, g, length, True))
+        for n in range(len(result)):
+            c, want = result.coeff(n), exact.coeff(n)
+            if c.label is not None and not c.congruent(
+                    want, min(c.label, want.absprec)):
+                out.add(n)
+    return out
+
+
+def refuted(rng, h: USeries, g: USeries, result: USeries, n: int) -> bool:
+    return n in refutations(rng, h, g, result)
 
 
 def test_a_label_below_horners_is_one_horner_overclaims():
@@ -441,6 +624,63 @@ def test_a_label_below_horners_is_one_horner_overclaims():
                 assert refuted(random.Random(n), h, g, old, n)
                 assert not refuted(random.Random(n), h, g, new, n)
     assert falls > 0
+
+
+def short_inner(rng, spec) -> USeries:
+    """A capped g of at most 5 coefficients, g(0) exactly 0, whose others
+    are zeros at labels (below 0 at times) or dot_coeff's values."""
+    cs = [FElement.zero(spec)] + [
+        FElement.zero_at(spec, rng.randint(-3, 6)) if rng.random() < 0.5
+        else dot_coeff(rng, spec) for _ in range(rng.randint(1, 4))]
+    return with_cap(USeries.make(spec, cs), len(cs) + rng.choice((0, 0, 1)))
+
+
+def test_short_compositions_with_negative_shifts_do_not_overclaim():
+    # an h of 5 or fewer coefficients with a negative shift runs its
+    # block-size-1 steps at the result's extent.  No exact composition of
+    # refined inputs contradicts a label of s_compose; where a label is
+    # below Horner's, one contradicts Horner's value there at times
+    rng = random.Random("short-negative-shift")
+    cases = horner_refuted = 0
+    while cases < 400:
+        spec = DOT_SPECS[rng.choice(sorted(DOT_SPECS))]
+        h = USeries.make(spec, [dot_coeff(rng, spec) for _ in range(rng.randint(2, 5))])
+        g = short_inner(rng, spec)
+        if h.is_integral() or g.order() == 0:
+            continue
+        cases += 1
+        new, old, fell = compare_with_horner(h, g)
+        if fell or cases % 4 == 0:
+            assert not refutations(random.Random(cases), h, g, new)
+        if fell:
+            horner_refuted += bool(set(fell)
+                                   & refutations(random.Random(cases), h, g, old))
+    assert horner_refuted > 0
+
+
+@pytest.mark.parametrize("name", sorted(DOT_SPECS))
+def test_compose_all_shares_one_table_per_block_size_and_length(monkeypatch, name):
+    # each h(g) is s_compose's, field for field, and no power table of g
+    # is formed twice
+    spec = DOT_SPECS[name]
+    rng = random.Random(f"compose-all/{name}")
+    tables = []
+    powers = series._powers
+    shared = 0
+    for _ in range(12):
+        g = compose_inner(rng, spec, True)
+        hs = [compose_outer(rng, spec, rng.random() < 0.7)
+              for _ in range(rng.randint(1, 8))]
+        want = [fields_of(s_compose(h, g)) for h in hs]
+        tables.clear()
+        monkeypatch.setattr(series, "_powers",
+                            lambda g, k, n: tables.append((k, n)) or powers(g, k, n))
+        assert [fields_of(c) for c in _compose_all(hs, g)] == want
+        monkeypatch.undo()
+        assert len(tables) == len(set(tables))
+        shared += sum(_block_size(len(h)) > 1 or not h.is_integral()
+                      for h in hs) - len(tables)
+    assert shared > 0
 
 
 def test_giant_steps_raise_labels_on_random_capped_inputs():
