@@ -36,6 +36,7 @@ from .scalars import (
     OFExact,
     _add1,
     _canon,
+    _dot1,
     _mul1,
     _neg1,
     _pk,
@@ -547,12 +548,15 @@ class USeries:
 
     def div_u(self, k: int) -> "USeries":
         """Exact division by u^k; the dropped low coefficients must be zero
-        at their precision and are trusted to be exactly zero."""
+        at their precision and are trusted to be exactly zero.  When k
+        reaches past the stored coefficients, the result is the single
+        coefficient coeff(k): an exact zero for a polynomial, a label-0
+        zero (the unknown tail) otherwise."""
         if any(u[0] for u in self.units[:k]):
             raise ValueError("series not divisible by u^k")
         cap = None if self.cap is None else max(self.cap - k, 1)
         if len(self.labels) <= k:
-            return USeries(self.spec, (0,), ((0,) * self.spec.e_F,), (None,), cap)
+            return _series(self.spec, [_flat(self.spec, self.coeff(k), 0)], cap)
         return USeries(self.spec, self.shifts[k:], self.units[k:],
                        self.labels[k:], cap)
 
@@ -836,51 +840,32 @@ def wdeg(x: USeries) -> int | None:
     return None
 
 
-def _poly_longdiv(x: USeries, E: USeries) -> tuple[USeries, USeries]:
-    """Exact-tail division x = q*E + r by monic E, top down."""
-    spec = x.spec
-    e0 = len(E) - 1
-    ecs = list(zip(E.shifts, E.units, E.labels))
-    rem = list(zip(x.shifts, x.units, x.labels))
-    qlen = max(len(rem) - e0, 0)
-    q = [(0, (0,) * spec.e_F, None)] * max(qlen, 1)
-    for m in range(qlen - 1, -1, -1):
-        q[m] = c = rem[m + e0]
-        neg = _neg1(spec, *c)
-        for i in range(e0 + 1):
-            rem[m + i] = _add1(spec, *rem[m + i], *_mul1(spec, *neg, *ecs[i]))
-    return _series(spec, q, None), _series(spec, rem[:e0], None)
-
-
 def _weierstrass_divide(x: USeries, E: EisensteinE) -> tuple[USeries, USeries]:
     """x = q*E + r with deg r < e0, honest labels under unknown tails.
 
-    For a capped x the quotient is found as the fixed point of
-    q -> shift_down(x + q*(u^e0 - E)); u^e0 - E has coefficients divisible
-    by pi, so the iteration contracts pi-adically and the placeholder tails
-    of x degrade the labels of the top quotient coefficients on their own.
-    Coefficient k of the new q depends only on the coefficients above k of
-    the old one, so with cap L the fixed point is reached after at most L
-    passes and confirmed by pass L + 1.
+    With d = u^e0 - E, whose coefficients are divisible by pi, q is solved
+    from the top down, q_k = x_(k+e0) + sum_(0<j<=e0) d_(e0-j)*q_(k+j), and
+    then r_n = x_n + sum_(i<=n) d_i*q_(n-i), each coefficient one _dot1 and
+    one _add1.  A polynomial x has L = len(x) - e0 quotient coefficients
+    and exact zeros above them.  A capped x has L = cap, and its window of
+    L + e0 coefficients reads the unknown tail as label-0 zeros, which
+    degrade the labels of the top quotient coefficients on their own.
     """
     spec = x.spec
     e0 = E.e0
     maxp = max((m for m in x.labels if m is not None), default=DEFAULT_PREC)
     Es = E.as_series(maxp + spec.e_F + 2)
-    if x.cap is None:
-        return _poly_longdiv(x, Es)
-    L = x.cap
-    d = -USeries(spec, Es.shifts[:e0], Es.units[:e0], Es.labels[:e0], None)  # u^e0 - E
-    xs = USeries(spec, *_window(x, L + e0), None)  # top e0 entries: unknown tail
-    q = USeries(spec, *_window(USeries.zero(spec), L), None)
-    for _ in range(L + 1):
-        y = xs + _product(q, d, L + e0, None)
-        q_new = USeries(spec, y.shifts[e0:], y.units[e0:], y.labels[e0:], None)
-        if q_new == q:
-            break
-        q = q_new
-    return (USeries(spec, q_new.shifts, q_new.units, q_new.labels, L),
-            USeries(spec, y.shifts[:e0], y.units[:e0], y.labels[:e0], None))
+    d = [_neg1(spec, *t) for t in zip(Es.shifts[:e0], Es.units[:e0], Es.labels[:e0])]
+    rd = d[::-1]
+    L = len(x) - e0 if x.cap is None else x.cap
+    xs = list(zip(*_window(x, L + e0)))
+    q = [(0, (0,) * spec.e_F, None)] * (max(L, 0) + e0)
+    for k in range(L - 1, -1, -1):
+        q[k] = _add1(spec, *xs[k + e0], *_dot1(spec, q[k + 1:k + 1 + e0], rd))
+    r = [_add1(spec, *xs[n], *_dot1(spec, d[:n + 1], q[n::-1]))
+         for n in range(min(e0, len(xs)))]
+    return (_series(spec, q[:L if x.cap is not None else max(L, 1)], x.cap),
+            _series(spec, r, None))
 
 
 def _divisible_verdict(rem: USeries) -> bool:
@@ -926,11 +911,8 @@ def e_order(x: USeries, E: EisensteinE) -> tuple[int, USeries]:
         q, rem = _weierstrass_divide(cof, E)
         if not _divisible_verdict(rem):
             break
-        trimmed = q if q.cap is None else USeries(
-            x.spec, *_window(q, q.cap - E.e0), q.cap - E.e0
-        )
         k += 1
-        cof = trimmed
+        cof = q if q.cap is None else q.truncate(q.cap - E.e0)
     return k, cof
 
 

@@ -1,6 +1,7 @@
 """Series layer: products, composition, Frobenius, Weierstrass data, gauge."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,13 @@ from frobkit.series import (
     s_compose,
     s_mul,
     wdeg,
+    _product,
+    _series,
+    _weierstrass_divide,
+    _window,
 )
+from frobkit.scalars import DEFAULT_PREC, _add1, _mul1, _neg1
+from test_series_kernel import DOT_SPECS, dot_series, fields_of, refine, with_cap
 
 Q3 = qp_spec(3)
 RAM3 = FieldSpec(3, (-3, 0, 1))
@@ -216,7 +223,8 @@ def test_e_order_indeterminate_when_precision_gone():
 # e_order on capped input: the cofactor's cap and every coefficient's
 # (unit prec, unit vec, shift), as recorded before the capped Weierstrass
 # division ran through the series product kernel.  The CLI only ever
-# divides polynomials, so these pins are what holds the capped branch.
+# divides polynomials, so these pins and the tests of the next section are
+# what hold division under an unknown tail.
 
 def _cofactor_rows(spec, e, ys, k, cap, absprec):
     E = EisensteinE.make(spec, e)
@@ -274,6 +282,104 @@ def test_e_order_capped_cofactor_above_64_digits_is_pinned():
                         (100, (1,), 0)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "c4eeeae4f7f0b027fb9468a7279dd92ea78558381d9cc63dce7e742aacef721d")
+
+
+# --- Weierstrass division against its two earlier loops -----------------------
+#
+# reference_divide is the division as it was before one top-down recurrence
+# served both kinds of input: polynomial long division, which subtracts
+# q_m * E from the running remainder for m from the top down, and for a
+# capped x the iteration q -> shift_down(x + q*(u^e0 - E)) through the
+# series product kernel, run from q = 0 until it repeats.
+
+def reference_divide(x: USeries, E: EisensteinE) -> tuple[USeries, USeries]:
+    spec = x.spec
+    e0 = E.e0
+    maxp = max((m for m in x.labels if m is not None), default=DEFAULT_PREC)
+    Es = E.as_series(maxp + spec.e_F + 2)
+    if x.cap is None:
+        ecs = list(zip(Es.shifts, Es.units, Es.labels))
+        rem = list(zip(x.shifts, x.units, x.labels))
+        qlen = max(len(rem) - e0, 0)
+        q = [(0, (0,) * spec.e_F, None)] * max(qlen, 1)
+        for m in range(qlen - 1, -1, -1):
+            q[m] = c = rem[m + e0]
+            neg = _neg1(spec, *c)
+            for i in range(e0 + 1):
+                rem[m + i] = _add1(spec, *rem[m + i], *_mul1(spec, *neg, *ecs[i]))
+        return _series(spec, q, None), _series(spec, rem[:e0], None)
+    L = x.cap
+    d = -USeries(spec, Es.shifts[:e0], Es.units[:e0], Es.labels[:e0], None)
+    xs = USeries(spec, *_window(x, L + e0), None)
+    q = USeries(spec, *_window(USeries.zero(spec), L), None)
+    for _ in range(L + 1):
+        y = xs + _product(q, d, L + e0, None)
+        q_new = USeries(spec, y.shifts[e0:], y.units[e0:], y.labels[e0:], None)
+        if q_new == q:
+            break
+        q = q_new
+    return (USeries(spec, q_new.shifts, q_new.units, q_new.labels, L),
+            USeries(spec, y.shifts[:e0], y.units[:e0], y.labels[:e0], None))
+
+
+def random_eisenstein(rng, spec) -> EisensteinE:
+    """A monic E of degree 1-4: pi times a unit at u^0, and pi times an
+    integral value, or an exact zero, below u^e0."""
+    pi = OFExact.pi(spec)
+
+    def integral(unit):
+        coords = [rng.randrange(-spec.p ** 4, spec.p ** 4) for _ in range(spec.e_F)]
+        if unit and not coords[0] % spec.p:
+            coords[0] += 1
+        return OFExact.make(spec, coords)
+    e0 = rng.randint(1, 4)
+    low = [pi * integral(True)] + [pi * integral(False) if rng.random() < 0.7
+                                   else OFExact.zero(spec) for _ in range(e0 - 1)]
+    return EisensteinE.make(spec, [*low, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9))
+def test_weierstrass_divide_matches_its_earlier_loops(name, seed):
+    # polynomial and capped x with negative shifts and labels: every field
+    # of q and r as the long division or the fixed-point iteration gave it
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    x, E = dot_series(rng, spec), random_eisenstein(rng, spec)
+    got, want = _weierstrass_divide(x, E), reference_divide(x, E)
+    assert [fields_of(s) for s in got] == [fields_of(s) for s in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(DOT_SPECS)), seed=st.integers(0, 10 ** 9))
+def test_capped_division_does_not_overclaim(name, seed):
+    # a polynomial that a capped x stands for (digits added past every
+    # label, a random integral tail past the cap) divides to a q and an r
+    # that agree with the capped division's at each of its labels
+    spec = DOT_SPECS[name]
+    rng = random.Random(seed)
+    x = dot_series(rng, spec)
+    x = with_cap(x, x.cap or len(x))
+    E = random_eisenstein(rng, spec)
+    q, r = _weierstrass_divide(x, E)
+    for _ in range(4):
+        qx, rx = _weierstrass_divide(refine(rng, x, x.cap + E.e0 + 3, False), E)
+        for got, fine in ((q, qx), (r, rx)):
+            for n in range(len(got)):
+                c, want = got.coeff(n), fine.coeff(n)
+                if c.label is None:
+                    assert want.label is None
+                else:
+                    assert c.congruent(want, min(c.label, want.absprec))
+
+
+def test_div_u_past_a_cap_is_the_unknown_tail():
+    # u^0 of x/u^3 is x_3: beyond a cap of 2 it is unknown, in a
+    # polynomial it is an exact zero
+    x = USeries.make(Q3, [0, 0], cap=2).div_u(3)
+    assert (x.coeff(0).label, x.coeff(0).is_zero_at_prec(), x.cap) == (0, True, 1)
+    y = USeries.make(Q3, [0, 0]).div_u(3)
+    assert (y.labels, y.cap) == ((None,), None)
 
 
 # --- Newton polygon ----------------------------------------------------------
